@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exact_linalg import (
@@ -73,12 +74,17 @@ class OperatorOnLattice:
 
 
 def pair(lattice: BilinearLattice, v: Sequence, w: Sequence):
-    """<v,w> = v^t . gram . w"""
+    """<v,w> = v^t . gram . w
+
+    An int when the value is integral, else a Fraction (for rational v, w).
+    """
     if len(v) != lattice.rank or len(w) != lattice.rank:
         raise ShapeError("vector length must equal lattice rank")
-    gw = lattice.gram.to_rat().apply([Fraction(x) for x in w])
-    val = sum((Fraction(a) * b for a, b in zip(v, gw)), Fraction(0))
-    return int(val) if val.denominator == 1 else val
+    val = sum(a * sum(map(mul, row, w))
+              for a, row in zip(v, lattice.gram.entries) if a)
+    if isinstance(val, Fraction) and val.denominator == 1:
+        return val.numerator
+    return val
 
 
 def canonical_operator(lattice: BilinearLattice) -> OperatorOnLattice:

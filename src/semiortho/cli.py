@@ -108,13 +108,15 @@ def cmd_k0_gram(args) -> int:
 
 def cmd_k0_rank(args) -> int:
     data = serialize.loads(_read_input(args))
-    if not isinstance(data, list):
-        raise InputFormatError("expected an array of series coefficients")
+    if not isinstance(data, list) or not data:
+        raise InputFormatError("expected a non-empty array of series coefficients")
     coeffs = [serialize.decode_number(x) for x in data]
     n = args.n if args.n is not None else len(coeffs) - 1
-    if len(coeffs) > n + 1:
-        raise InputFormatError("more coefficients than the truncation order allows")
-    _emit(args, {"rank": serialize.encode_number(rank(DSeries.from_coeffs(n, coeffs)))})
+    try:
+        series = DSeries.from_coeffs(n, coeffs)
+    except ValueError as e:
+        raise InputFormatError(str(e)) from None
+    _emit(args, {"rank": serialize.encode_number(rank(series))})
     return 0
 
 
@@ -150,7 +152,10 @@ def cmd_orbit(args) -> int:
     if not is_semiorthonormal(c):
         raise InputFormatError("collection is not semiorthonormal")
     max_nodes = args.max_nodes if args.max_nodes is not None else _max_nodes_default()
-    report = orbit_search(c, args.height_bound, max_nodes)
+    try:
+        report = orbit_search(c, args.height_bound, max_nodes)
+    except ValueError as e:
+        raise InputFormatError(str(e)) from None
     _emit(args, serialize.encode_orbit_report(report))
     return 0
 

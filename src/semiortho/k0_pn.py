@@ -17,7 +17,13 @@ from math import comb, factorial
 from .exact_linalg import RatMatrix, ShapeError
 
 
+def _check_order(n: int):
+    if n < 0:
+        raise ValueError(f"truncation order n must be >= 0, got {n}")
+
+
 def _as_fracs(coeffs, n: int) -> tuple[Fraction, ...]:
+    _check_order(n)
     cs = [Fraction(c) for c in coeffs]
     if len(cs) > n + 1:
         raise ValueError("too many coefficients for truncation order")
@@ -352,6 +358,7 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
     The Adams matrix is produced by the sigma-formula and cross-checked
     against the direct pairing.
     """
+    _check_order(n)
     series = _basis_series(n, basis)
     direct = RatMatrix.from_rows(
         [[hilbert_pairing(n, a, b) for b in series] for a in series])

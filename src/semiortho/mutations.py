@@ -228,15 +228,27 @@ def collection_height(g: IntMatrix) -> int:
 
 def _sign_canonical(g: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # lexicographically least Gram matrix over all per-vector sign choices;
-    # flipping vector i negates row i and column i
+    # flipping vector i negates row i and column i, so entry (i, j) depends
+    # only on the relative sign s_i s_j.  One row-major pass over the entries:
+    # a nonzero entry between vectors whose relative sign is still free ties
+    # their components so that it reads -|g|; inside one component it is
+    # forced.  Tying two components leaves the relative signs inside each
+    # unchanged, so no earlier entry moves and the greedy choice is lex-least.
     n = len(g)
-    best = None
-    for mask in range(1 << n):
-        s = [1 - 2 * ((mask >> i) & 1) for i in range(n)]
-        cand = tuple(tuple(s[i] * s[j] * g[i][j] for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best
+    comp = list(range(n))  # component label of each vector
+    sign = [1] * n  # sign of each vector relative to its component
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if x == 0 or comp[i] == comp[j]:
+                continue
+            old, flip = comp[j], sign[i] * sign[j] * x > 0
+            for k in range(n):
+                if comp[k] == old:
+                    comp[k] = comp[i]
+                    if flip:
+                        sign[k] = -sign[k]
+    return tuple(tuple(s * t * x for t, x in zip(sign, row))
+                 for s, row in zip(sign, g))
 
 
 MARKOV_CANONICAL_GRAM = ((1, 3, 3), (0, 1, 3), (0, 0, 1))
@@ -259,7 +271,7 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
     not expanded; hitting either bound flags the report as truncated.
     """
     if height_bound < 0 or max_nodes <= 0:
-        raise ValueError("bounds must be positive")
+        raise ValueError("height bound must be >= 0 and node cap >= 1")
     if not is_semiorthonormal(c):
         raise ValueError("collection is not semiorthonormal")
     n = len(c)
@@ -273,7 +285,7 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
     used: set[str] = set()
     while queue:
         g = queue.popleft()
-        if max(abs(x) for row in g for x in row) > height_bound:
+        if max((abs(x) for row in g for x in row), default=0) > height_bound:
             truncated = True
             continue
         for nu in range(1, n):
@@ -299,20 +311,20 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
 
 def _mutate_gram(g: tuple[tuple[int, ...], ...], nu: int,
                  direction: Direction) -> tuple[tuple[int, ...], ...]:
-    # Gram effect of mutating the pair (e_{nu-1}, e_nu): base change on rows
-    # and columns.  L: (a,b) -> (b - <a,b> a, a); R: (a,b) -> (b, a - <a,b> b).
-    n = len(g)
-    ab = g[nu - 1][nu]
+    # Gram effect of mutating the pair (e_{nu-1}, e_nu): the base change
+    # touches only columns nu-1, nu and then rows nu-1, nu.
+    # L: (a,b) -> (b - <a,b> a, a); R: (a,b) -> (b, a - <a,b> b).
+    a, b = nu - 1, nu
+    ab = g[a][b]
+    rows = [list(r) for r in g]
     if direction == "L":
         # f_{nu-1} = e_nu - ab * e_{nu-1}, f_nu = e_{nu-1}
-        change = {nu - 1: {nu: 1, nu - 1: -ab}, nu: {nu - 1: 1}}
+        for r in rows:
+            r[a], r[b] = r[b] - ab * r[a], r[a]
+        rows[a], rows[b] = [y - ab * x for x, y in zip(rows[a], rows[b])], rows[a]
     else:
         # f_{nu-1} = e_nu, f_nu = e_{nu-1} - ab * e_nu
-        change = {nu - 1: {nu: 1}, nu: {nu - 1: 1, nu: -ab}}
-
-    def entry(i, j):
-        ci = change.get(i, {i: 1})
-        cj = change.get(j, {j: 1})
-        return sum(a * b * g[p][q] for p, a in ci.items() for q, b in cj.items())
-
-    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+        for r in rows:
+            r[a], r[b] = r[b], r[a] - ab * r[b]
+        rows[a], rows[b] = rows[b], [x - ab * y for x, y in zip(rows[a], rows[b])]
+    return tuple(map(tuple, rows))

@@ -48,6 +48,28 @@ def test_pair_convention():
     assert pair(lat, [0, 1], [1, 0]) == 0
 
 
+def test_pair_matches_fraction_reference():
+    rng = random.Random(14)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        lat = BilinearLattice(random_unimodular_gram(rng, n))
+        v = [entry() for _ in range(n)]
+        w = [entry() for _ in range(n)]
+        ref = sum((Fraction(v[i]) * lat.gram[i, j] * Fraction(w[j])
+                   for i in range(n) for j in range(n)), Fraction(0))
+        got = pair(lat, v, w)
+        assert got == ref
+        assert type(got) is (int if ref.denominator == 1 else Fraction)
+    with pytest.raises(ShapeError):
+        pair(BilinearLattice.standard(2), [1, 0], [1])
+
+
 def test_canonical_operator_defining_identity():
     rng = random.Random(2)
     for _ in range(40):

@@ -1,9 +1,15 @@
 """JSON round trips and the command-line surface with its exit-code contract."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiortho import serialize
 from semiortho.bilinear_form import BilinearLattice
@@ -164,3 +170,76 @@ def test_cli_file_input(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"]["type"] == "type1"
     code, _, _ = run(capsys, "classify", "--file", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def test_cli_rejects_bad_sizes_and_bounds(capsys, monkeypatch):
+    one = '{"ambient":{"gram":[[1]]},"vectors":[[1]]}'
+    for argv in (("k0", "rank", "--inline", "[]"),
+                 ("k0", "rank", "--inline", "[1,2]", "-n", "-1"),
+                 ("k0", "gram", "-n", "-1"),
+                 ("k0", "classify", "-n", "-1"),
+                 ("orbit", "--inline", one, "--height-bound", "-1"),
+                 ("orbit", "--inline", one, "--max-nodes", "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error:"), argv
+    monkeypatch.setenv("SEMIORTHO_MAX_NODES", "0")
+    code, _, err = run(capsys, "orbit", "--inline", one)
+    assert code == 1 and err.startswith("error:")
+
+
+def test_cli_orbit_rank_zero(capsys):
+    for ambient in ("[]", "[[1,3],[0,1]]"):
+        coll = '{"ambient":{"gram":%s},"vectors":[]}' % ambient
+        code, out, _ = run(capsys, "orbit", "--inline", coll)
+        data = json.loads(out)
+        assert code == 0 and data["orbit_size"] == 1 and not data["truncated"]
+        assert data["canonical_gram"] == []
+
+
+@st.composite
+def _argv_and_env(draw):
+    """A command line for orbit or k0, and SEMIORTHO_MAX_NODES (or None)."""
+    kind = draw(st.sampled_from(("orbit", "gram", "classify", "rank")))
+    if kind == "orbit":
+        n = draw(st.integers(0, 4))
+        gram = [[int(i == j) if j <= i else draw(st.integers(-3, 3))
+                 for j in range(n)] for i in range(n)]
+        # a permuted basis is semiorthonormal only for some Grams
+        order = draw(st.permutations(range(n)))
+        vectors = [[int(i == j) for j in range(n)] for i in order]
+        argv = ["orbit", "--inline", json.dumps({"ambient": {"gram": gram},
+                                                 "vectors": vectors}),
+                "--height-bound", str(draw(st.integers()))]
+        # the node cap keeps each search small; its lower end is unbounded
+        cap = str(draw(st.integers(max_value=40)))
+        if draw(st.booleans()):
+            return argv + ["--max-nodes", cap], None
+        return argv, cap
+    n = str(draw(st.integers(-3, 3)))
+    if kind == "rank":
+        coeffs = draw(st.lists(st.one_of(
+            st.integers(-5, 5),
+            st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 4))),
+            max_size=3))
+        argv = ["k0", "rank", "--inline", json.dumps(coeffs)]
+        return (argv + ["-n", n] if draw(st.booleans()) else argv), None
+    basis = draw(st.sampled_from(("adams", "binomial", "twists", "xi")))
+    return ["k0", kind, "-n", n, "--basis", basis], None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv_and_env())
+def test_cli_contract_exit_codes(case):
+    argv, max_nodes_env = case
+    env = {} if max_nodes_env is None else {"SEMIORTHO_MAX_NODES": max_nodes_env}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects a command line this way
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        json.loads(out.getvalue())
+    elif code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")

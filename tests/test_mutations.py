@@ -13,6 +13,8 @@ from semiortho.mutations import (
     InadmissibleError,
     MembershipError,
     SonCollection,
+    _mutate_gram,
+    _sign_canonical,
     apply_braid,
     collection_height,
     is_admissible,
@@ -187,3 +189,39 @@ def test_orbit_search_finite_orbit():
     r = orbit_search(c, height_bound=10, max_nodes=1000)
     assert not r.truncated
     assert r.orbit_size == 1  # sign-canonical Gram never changes
+
+
+def _sign_canonical_scan(g):
+    """Reference: the lex-least Gram over all 2^n sign choices."""
+    n = len(g)
+    best = None
+    for mask in range(1 << n):
+        s = [1 - 2 * ((mask >> i) & 1) for i in range(n)]
+        cand = tuple(tuple(s[i] * s[j] * g[i][j] for j in range(n)) for i in range(n))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def test_sign_canonical_matches_full_scan():
+    rng = random.Random(13)
+    for k in range(2400):
+        n = k % 8
+        full = k % 16 >= 8  # upper-triangular Grams in one half, full ones in the other
+        zero_rate = rng.choice((0.0, 0.3, 0.7))
+        g = tuple(tuple(
+            (rng.randint(-5, 5) if rng.random() >= zero_rate else 0)
+            if (full or j > i) and i != j else int(i == j)
+            for j in range(n)) for i in range(n))
+        assert _sign_canonical(g) == _sign_canonical_scan(g), g
+
+
+def test_mutate_gram_matches_mutated_collection():
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        c = random_son_collection(rng, n)
+        g = c.gram().entries
+        for nu in range(1, n):
+            for d in ("L", "R"):
+                assert _mutate_gram(g, nu, d) == mutate_pair(c, nu, d).gram().entries
