@@ -8,6 +8,7 @@ kernel-rank sequences, never from eigenvector chains.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .exact_linalg import (
     ShapeError,
     char_poly_rat,
     kernel_basis,
+    mul_trunc,
     rank_over_q,
 )
 
@@ -103,9 +105,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
             roots[Fraction(0)] += 1
             cur = cur[1:]
             continue
-        scale = 1
-        for c in cur:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in cur))
         ints = [int(c * scale) for c in cur]
         found = None
         for p in _divisors(ints[0]):
@@ -123,12 +123,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
         roots[found] += 1
         cur = _poly_deflate(cur, found)
     return sorted(roots.items()), cur
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:
@@ -354,15 +348,7 @@ class ZetaSeries:
     def __mul__(self, other: "ZetaSeries") -> "ZetaSeries":
         if self.n != other.n:
             raise ShapeError("mismatched truncation orders")
-        out = [Fraction(0)] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.n:
-                    break
-                out[i + j] += a * b
-        return ZetaSeries(self.n, tuple(out))
+        return ZetaSeries(self.n, mul_trunc(self.coeffs, other.coeffs, self.n))
 
     def involution(self) -> "ZetaSeries":
         """The duality f(z) -> f(-z)."""

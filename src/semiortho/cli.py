@@ -8,6 +8,7 @@ switches to indented rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -23,7 +24,14 @@ from .bilinear_form import (
 )
 from .classification import detect_type, detect_type_gram
 from .exact_linalg import IntMatrix
-from .k0_pn import DSeries, gram_matrix, hilbert_pairing, rank, sigma_pairing
+from .k0_pn import (
+    DSeries,
+    check_truncation,
+    gram_matrix,
+    hilbert_pairing,
+    rank,
+    sigma_pairing,
+)
 from .markov import (
     MarkovTriple,
     NotMarkov,
@@ -113,9 +121,11 @@ def cmd_k0_rank(args) -> int:
     coeffs = [serialize.decode_number(x) for x in data]
     n = args.n if args.n is not None else len(coeffs) - 1
     try:
-        series = DSeries.from_coeffs(n, coeffs)
+        check_truncation(n, len(coeffs))
     except ValueError as e:
         raise InputFormatError(str(e)) from None
+    # the rank is the constant term: no need to pad the series up to order n
+    series = DSeries.from_coeffs(len(coeffs) - 1, coeffs)
     _emit(args, {"rank": serialize.encode_number(rank(series))})
     return 0
 
@@ -258,6 +268,7 @@ def cmd_verify(args) -> int:
     return 0 if total_failures == 0 else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiortho",
@@ -316,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as e:

@@ -7,10 +7,11 @@ All matrices are immutable values; every operation returns a fresh matrix.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Sequence
 
 
 class ShapeError(ValueError):
@@ -29,22 +30,23 @@ def _freeze_rows(rows, cast):
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix with integer entries, row-major."""
+class _Matrix:
+    """Dense row-major matrix; subclasses fix the entry type by `_cast`."""
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple, ...]
 
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(_freeze_rows(rows, int))
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]):
+        return cls(_freeze_rows(rows, cls._cast))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    @classmethod
+    def identity(cls, n: int):
+        one, zero = cls._cast(1), cls._cast(0)
+        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * cols for _ in range(rows)))
+    @classmethod
+    def zero(cls, rows: int, cols: int):
+        return cls(tuple((cls._cast(0),) * cols for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -62,47 +64,46 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
+    def transpose(self):
+        return type(self)(tuple(zip(*self.entries)) if self.entries else ())
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def __add__(self, other):
         _check_same_shape(self, other)
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
+        return type(self)(tuple(tuple(a + b for a, b in zip(r, s))
+                                for r, s in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+    def __sub__(self, other):
         _check_same_shape(self, other)
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
+        return type(self)(tuple(tuple(a - b for a, b in zip(r, s))
+                                for r, s in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.entries))
+    def __neg__(self):
+        return type(self)(tuple(tuple(-a for a in r) for r in self.entries))
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+    # Each subclass defines its own __mul__ (bench/tracer.py times them apart)
+    # and both return this product.
+    def _product(self, other) -> tuple[tuple, ...]:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                               for r in self.entries))
+        cols = tuple(zip(*other.entries))
+        return tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
+                     for r in self.entries)
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.entries))
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
+    def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
+        return tuple(sum((a * b for a, b in zip(r, v)), self._cast(0)) for r in self.entries)
 
-    def power(self, k: int) -> "IntMatrix":
+    def power(self, k: int):
         if not self.is_square:
             raise ShapeError("power of non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        result = IntMatrix.identity(self.rows)
+        result = self.identity(self.rows)
         base = self
         while k:
             if k & 1:
@@ -111,105 +112,46 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def trace(self) -> int:
+    def trace(self):
         if not self.is_square:
             raise ShapeError("trace of non-square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
+        return sum((self.entries[i][i] for i in range(self.rows)), self._cast(0))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
+
+
+def _check_same_shape(a, b):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+
+
+class IntMatrix(_Matrix):
+    """Dense matrix with integer entries, row-major."""
+
+    _cast = int
+
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        return IntMatrix(self._product(other))
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(_freeze_rows(self.entries, Fraction))
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Dense matrix with exact rational entries (Fraction keeps them reduced)."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows) -> "RatMatrix":
-        return RatMatrix(_freeze_rows(rows, Fraction))
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(tuple((Fraction(0),) * cols for _ in range(rows)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        _check_same_shape(self, other)
-        return RatMatrix(tuple(tuple(a + b for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        _check_same_shape(self, other)
-        return RatMatrix(tuple(tuple(a - b for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(-a for a in r) for r in self.entries))
+    _cast = Fraction
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return RatMatrix(tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                               for r in self.entries))
+        return RatMatrix(self._product(other))
+
+    def power(self, k: int) -> "RatMatrix":
+        return self.inverse().power(-k) if k < 0 else super().power(k)
 
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
         return RatMatrix(tuple(tuple(c * a for a in r) for r in self.entries))
-
-    def apply(self, v) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ShapeError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in self.entries)
-
-    def power(self, k: int) -> "RatMatrix":
-        if not self.is_square:
-            raise ShapeError("power of non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ShapeError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for r in self.entries for a in r)
@@ -220,53 +162,22 @@ class RatMatrix:
         return IntMatrix(tuple(tuple(int(a) for a in r) for r in self.entries))
 
     def det(self) -> Fraction:
-        if not self.is_square:
-            raise ShapeError("determinant of non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-        return det
+        """Bareiss determinant of the matrix with each row's denominators cleared."""
+        scales = [math.lcm(*(a.denominator for a in r)) for r in self.entries]
+        cleared = IntMatrix(tuple(tuple(a.numerator * (s // a.denominator) for a in r)
+                                  for r, s in zip(self.entries, scales)))
+        return Fraction(det(cleared), math.prod(scales))
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-             for i, r in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RatMatrix(tuple(tuple(row[n:]) for row in m))
-
-
-Matrix = Union[IntMatrix, RatMatrix]
-
-
-def _check_same_shape(a, b):
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+        one, zero = Fraction(1), Fraction(0)
+        rows, pivots = _rref([list(r) + [one if i == j else zero for j in range(n)]
+                              for i, r in enumerate(self.entries)], n)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        return RatMatrix(tuple(tuple(row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -328,6 +239,31 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduction over Q with pivots in the first `ncols` columns.
+
+    Row operations act on whole rows, so columns past `ncols` (an augmented
+    block) are carried along.  Returns the reduced rows and the pivot columns.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [x * inv for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a matrix with determinant +-1."""
     d = det(m)
@@ -336,30 +272,41 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return m.to_rat().inverse().to_int()
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - m), exact coefficients."""
-    coeffs = char_poly_rat(m.to_rat())
-    assert all(c.denominator == 1 for c in coeffs)
-    return IntPolynomial.from_coeffs(int(c) for c in coeffs)
+def _berkowitz(m: _Matrix) -> list:
+    """Coefficients of det(xI - m), lowest degree first, by Berkowitz's algorithm.
 
-
-def char_poly_rat(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Characteristic polynomial of a rational matrix via Faddeev-LeVerrier.
-
-    Returns coefficients lowest degree first; leading coefficient is 1.
+    S. J. Berkowitz, IPL 18 (1984): the char poly of each leading block is a
+    Toeplitz matrix times that of the block before.  Only ring operations are
+    used, so int entries give ints and Fraction entries give Fractions.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-        mk = mk + RatMatrix.identity(n).scale(c)
-    return tuple(coeffs)
+    a = m.entries
+    poly = [m._cast(1)]  # highest degree first, of the leading r x r block
+    for r in range(m.rows):
+        block = [a[i][:r] for i in range(r)]
+        row, col = a[r][:r], [a[i][r] for i in range(r)]
+        # first column of the Toeplitz matrix: 1, -a_rr, -R C, -R A C, ...
+        toeplitz = [poly[0], -a[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, b, col)) for b in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly[::-1]
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - m), exact coefficients."""
+    return IntPolynomial.from_coeffs(_berkowitz(m))
+
+
+def char_poly_rat(m: RatMatrix) -> tuple[Fraction, ...]:
+    """Characteristic polynomial of a rational matrix.
+
+    Returns coefficients lowest degree first; leading coefficient is 1.
+    """
+    return tuple(_berkowitz(m))
 
 
 def nilpotency_index(m: RatMatrix) -> int | None:
@@ -380,53 +327,38 @@ def nilpotency_index(m: RatMatrix) -> int | None:
         power = power * m
     return n  # unreachable: Cayley-Hamilton forces m^n = 0
 
+
 def rank_over_q(m: RatMatrix) -> int:
     """Rank by exact Gaussian elimination over the rationals."""
-    rows = [list(r) for r in m.entries]
-    rank = 0
-    ncols = m.cols
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_rref([list(r) for r in m.entries], m.cols)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : m v = 0}, via reduced row echelon form."""
-    nrows, ncols = m.rows, m.cols
-    rows = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = m.cols
+    rows, pivots = _rref([list(r) for r in m.entries], ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def mul_trunc(a: Sequence, b: Sequence, n: int, zero=Fraction(0)) -> tuple:
+    """Product of two coefficient sequences, lowest degree first, cut after degree n.
+
+    Every coefficient starts from `zero`, which fixes the type of those no
+    term reaches: pass 0 for integer series.
+    """
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if i + j > n:
+                break
+            out[i + j] += x * y
+    return tuple(out)

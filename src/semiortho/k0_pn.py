@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact_linalg import RatMatrix, ShapeError
+from .exact_linalg import RatMatrix, ShapeError, mul_trunc
 
 
 def _check_order(n: int):
@@ -22,24 +22,17 @@ def _check_order(n: int):
         raise ValueError(f"truncation order n must be >= 0, got {n}")
 
 
-def _as_fracs(coeffs, n: int) -> tuple[Fraction, ...]:
+def check_truncation(n: int, count: int):
+    """Raise ValueError unless `count` coefficients fit truncation order n."""
     _check_order(n)
-    cs = [Fraction(c) for c in coeffs]
-    if len(cs) > n + 1:
+    if count > n + 1:
         raise ValueError("too many coefficients for truncation order")
+
+
+def _as_fracs(coeffs, n: int) -> tuple[Fraction, ...]:
+    cs = [Fraction(c) for c in coeffs]
+    check_truncation(n, len(cs))
     return tuple(cs + [Fraction(0)] * (n + 1 - len(cs)))
-
-
-def _mul_trunc(a, b, n: int) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += x * y
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,7 @@ class DSeries:
 
     def __mul__(self, other: "DSeries") -> "DSeries":
         self._check(other)
-        return DSeries(self.n, _mul_trunc(self.coeffs, other.coeffs, self.n))
+        return DSeries(self.n, mul_trunc(self.coeffs, other.coeffs, self.n))
 
     def scale(self, c) -> "DSeries":
         c = Fraction(c)
@@ -222,9 +215,7 @@ class NablaSeries:
     def __mul__(self, other: "NablaSeries") -> "NablaSeries":
         if self.n != other.n:
             raise ShapeError("mismatched truncation orders")
-        out = _mul_trunc([Fraction(c) for c in self.coeffs],
-                         [Fraction(c) for c in other.coeffs], self.n)
-        return NablaSeries(self.n, tuple(int(c) for c in out))
+        return NablaSeries(self.n, mul_trunc(self.coeffs, other.coeffs, self.n, 0))
 
     def to_dseries(self) -> DSeries:
         return DSeries(self.n, _substitute([Fraction(c) for c in self.coeffs],
@@ -235,7 +226,7 @@ def _substitute(coeffs, var_series: tuple[Fraction, ...], n: int) -> tuple[Fract
     # Horner evaluation of sum coeffs[k] * s^k mod x^(n+1)
     out = (Fraction(0),) * (n + 1)
     for c in reversed(list(coeffs)):
-        out = _mul_trunc(out, var_series, n)
+        out = mul_trunc(out, var_series, n)
         out = tuple(a + (c if i == 0 else 0) for i, a in enumerate(out))
     return out
 

@@ -29,8 +29,16 @@ class InputFormatError(ValueError):
     """Malformed or out-of-schema JSON input."""
 
 
+def _decimal(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise InputFormatError(
+            f"result has a {x.bit_length()}-bit integer, too long to print in decimal") from None
+
+
 def encode_int(x: int):
-    return x if abs(x) < _SAFE else str(x)
+    return x if abs(x) < _SAFE else _decimal(x)
 
 
 def decode_int(v) -> int:
@@ -47,7 +55,7 @@ def encode_number(x):
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return encode_int(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
     return encode_int(x)
 
 
@@ -194,5 +202,5 @@ def dumps_pretty(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal over the digit limit
         raise InputFormatError(f"invalid JSON: {e}") from None

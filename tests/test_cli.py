@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -196,10 +197,88 @@ def test_cli_orbit_rank_zero(capsys):
         assert data["canonical_gram"] == []
 
 
+# int() accepts it (under the 4 300-digit limit); its square is too long to print
+BIG = "7" * 4000
+
+
+def test_cli_big_integers_exit_1(capsys):
+    coll = ('{"ambient":{"gram":[[1,%s],[0,1]]},"vectors":[[1,0],[0,1]]}' % BIG)
+    for argv in (("markov", "check", BIG, BIG, BIG),
+                 ("classify", "--inline", '{"gram":[[1,%s],[0,1]]}' % BIG),
+                 ("classify", "--inline", '{"gram":[[1,%s]]}' % ("7" * 5000)),
+                 ("mutate", "--inline", coll, "--word", "L1 L1 L1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error:"), argv[:2]
+
+
+def test_cli_k0_rank_does_not_pad_the_series(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "k0", "rank", "--inline", "[3]", "-n", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(out)) == (0, {"rank": 3})
+    assert peak < 1 << 20
+
+
+_JUNK_JSON = ("", "{bad", "null", "3", "[]", "{}", '{"gram":3}', '{"gram":[1,2]}',
+              '{"gram":[[1]],"rank":"x"}', '{"gram":[[true]]}', '{"gram":[[1.5]]}',
+              '{"gram":[["1/2"]]}', '{"ambient":[],"vectors":[]}',
+              '{"ambient":{"gram":[[1]]},"vectors":3}',
+              '{"ambient":{"gram":[[1]]},"vectors":[[1,0]]}',
+              '{"gram":[[%s]]}' % ("7" * 5000))
+
+
+@st.composite
+def _gram(draw):
+    """Small Gram: unitriangular, dense (mostly not unimodular) or ragged."""
+    n = draw(st.integers(0, 3))
+    entry = st.one_of(st.integers(-3, 3), st.just(int(BIG)), st.just(BIG))
+    shape = draw(st.sampled_from(("unitriangular", "dense", "ragged")))
+    gram = [[int(i == j) if j <= i and shape == "unitriangular" else draw(entry)
+             for j in range(n)] for i in range(n)]
+    if shape == "ragged" and n:
+        gram[draw(st.integers(0, n - 1))].append(0)
+    return gram
+
+
+@st.composite
+def _json_argv(draw):
+    """classify or mutate with JSON input that may be malformed."""
+    kind = draw(st.sampled_from(("classify", "mutate")))
+    gram = draw(_gram())
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(st.sampled_from(_JUNK_JSON))
+    elif kind == "classify":
+        text = json.dumps({"gram": gram})
+    else:
+        n = len(gram)
+        vectors = [[int(i == j) for j in range(n)] for i in draw(st.permutations(range(n)))]
+        text = json.dumps({"ambient": {"gram": gram}, "vectors": vectors})
+    argv = [kind, "--inline", text]
+    if kind == "mutate":
+        argv += ["--word", draw(st.text(alphabet="LR0123 -x", max_size=8))]
+    return argv
+
+
+@st.composite
+def _markov_argv(draw):
+    """markov check or reduce, entries up to and past the 4 300-digit limit."""
+    entry = st.one_of(st.integers(), st.sampled_from((0, 1, 3, 6, 15, -3)),
+                      st.just(BIG), st.just("7" * 4400))
+    return ["markov", draw(st.sampled_from(("check", "reduce")))] + \
+        [str(draw(entry)) for _ in range(3)]
+
+
 @st.composite
 def _argv_and_env(draw):
-    """A command line for orbit or k0, and SEMIORTHO_MAX_NODES (or None)."""
-    kind = draw(st.sampled_from(("orbit", "gram", "classify", "rank")))
+    """A command line for orbit, k0, classify, mutate or markov, and SEMIORTHO_MAX_NODES."""
+    kind = draw(st.sampled_from(("orbit", "gram", "classify", "rank", "json", "markov")))
+    if kind == "json":
+        return draw(_json_argv()), None
+    if kind == "markov":
+        return draw(_markov_argv()), None
     if kind == "orbit":
         n = draw(st.integers(0, 4))
         gram = [[int(i == j) if j <= i else draw(st.integers(-3, 3))
@@ -227,7 +306,7 @@ def _argv_and_env(draw):
     return ["k0", kind, "-n", n, "--basis", basis], None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_argv_and_env())
 def test_cli_contract_exit_codes(case):
     argv, max_nodes_env = case

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from semiortho.exact_linalg import (
     det,
     inverse_unimodular,
     kernel_basis,
+    mul_trunc,
     nilpotency_index,
     rank_over_q,
 )
@@ -42,6 +43,69 @@ def naive_det(m: IntMatrix) -> int:
             prod *= m[i, perm[i]]
         total += sign * prod
     return total
+
+
+def faddeev_leverrier(m: RatMatrix) -> tuple[Fraction, ...]:
+    """The former char-poly routine, kept as the reference for Berkowitz.
+
+    M_k = m (M_(k-1) + c_(n-k+1) I) and c_(n-k) = -tr(M_k) / k; it divides
+    by k, so it works over Q only.  Coefficients lowest degree first.
+    """
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        c = -mk.trace() / k
+        coeffs[n - k] = c
+        mk = mk + RatMatrix.identity(n).scale(c)
+    return tuple(coeffs)
+
+
+def _oracle_cases(rng, entry):
+    """Square matrices of size 0-8: dense, singular, nilpotent, zero and scalar."""
+    for n in range(9):
+        dense = [[entry() for _ in range(n)] for _ in range(n)]
+        yield dense
+        if n:
+            # a repeated row makes it singular
+            yield dense[:-1] + [dense[0]]
+            # strictly upper triangular, conjugated by a unimodular matrix: nilpotent
+            s = random_unimodular(rng, n)
+            s_inv = inverse_unimodular(s)
+            upper = IntMatrix.from_rows([[rng.randint(-3, 3) if j > i else 0
+                                          for j in range(n)] for i in range(n)])
+            yield [list(r) for r in (s * upper * s_inv).entries]
+        yield [[0] * n for _ in range(n)]
+        yield [[entry() if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_berkowitz_matches_faddeev_leverrier_int():
+    rng = random.Random(17)
+    count = 0
+    for _ in range(4):
+        for rows in _oracle_cases(rng, lambda: rng.randint(-9, 9)):
+            m = IntMatrix.from_rows(rows)
+            p = char_poly(m)
+            assert all(type(c) is int for c in p.coeffs)
+            assert p.coeffs == faddeev_leverrier(m.to_rat())
+            count += 1
+    assert count == 4 * (9 * 5 - 2)
+
+
+def test_berkowitz_matches_faddeev_leverrier_rat():
+    rng = random.Random(19)
+    for _ in range(3):
+        for rows in _oracle_cases(rng, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))):
+            m = RatMatrix.from_rows(rows)
+            cp = char_poly_rat(m)
+            assert all(type(c) is Fraction for c in cp)
+            assert cp == faddeev_leverrier(m)
+    nilpotent = RatMatrix.from_rows([[0, 2, 5], [0, 0, Fraction(1, 3)], [0, 0, 0]])
+    assert char_poly_rat(nilpotent) == (0, 0, 0, 1)
+    with pytest.raises(ShapeError):
+        char_poly_rat(RatMatrix.from_rows([[1, 2]]))
 
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -96,6 +160,50 @@ def test_rat_inverse_and_det():
         if m.det() == 0:
             continue
         assert (m * m.inverse() - RatMatrix.identity(n)).is_zero()
+
+
+def test_rat_det_matches_leibniz_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            rows[-1] = [2 * x for x in rows[0]]
+        m = RatMatrix.from_rows(rows)
+        d = m.det()
+        assert type(d) is Fraction and d == naive_det(m)
+    with pytest.raises(ShapeError):
+        RatMatrix.from_rows([[1, 2]]).det()
+
+
+def test_rat_inverse_of_singular_matrix_raises():
+    for rows in ([[0]], [[1, 2], [2, 4]], [[Fraction(1, 2), 1, 0], [0, 0, 0], [3, 1, 1]],
+                 [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix.from_rows(rows).inverse()
+    with pytest.raises(ShapeError):
+        RatMatrix.from_rows([[1, 2]]).inverse()
+
+
+def test_shared_base_keeps_the_entry_type():
+    a = IntMatrix.from_rows([[1, 2], [0, 1]])
+    r = a.to_rat()
+    for m, kind, cast in ((a, IntMatrix, int), (r, RatMatrix, Fraction)):
+        for out in (m.transpose(), m + m, m - m, -m, m * m, m.power(3),
+                    kind.identity(2), kind.zero(2, 3)):
+            assert type(out) is kind
+            assert all(type(x) is cast for row in out.entries for x in row)
+        assert type(m.trace()) is cast and type(kind.from_rows([]).trace()) is cast
+        assert all(type(x) is cast for x in m.apply([1, 1]))
+        assert all(type(x) is cast for x in kind.from_rows([[], []]).apply([]))
+    assert a.power(0) == IntMatrix.identity(2) and a.power(5)[0, 1] == 10
+    assert a != r and a.to_rat() == r
+    with pytest.raises(ValueError, match="negative power"):
+        a.power(-1)
+    assert r.power(-2) == r.inverse() * r.inverse()
+    with pytest.raises(ShapeError):
+        IntMatrix.from_rows([[1, 2]]).power(2)
 
 
 def test_char_poly_cayley_hamilton():
@@ -154,6 +262,56 @@ def test_rank_and_kernel():
         if ker:
             km = RatMatrix.from_rows([list(v) for v in ker])
             assert rank_over_q(km) == len(ker)
+
+
+def _rank_by_minors(m: RatMatrix) -> int:
+    """Largest k with a nonzero k x k minor: a rank oracle without elimination."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in combinations(range(m.rows), k):
+            for cs in combinations(range(m.cols), k):
+                if naive_det(RatMatrix.from_rows([[m[i, j] for j in cs] for i in rs])):
+                    return k
+    return 0
+
+
+def test_rank_and_kernel_wide_and_tall():
+    rng = random.Random(29)
+    for nr, nc in ((1, 6), (2, 5), (3, 6), (6, 3), (5, 2), (6, 1), (4, 4)):
+        for k in range(min(nr, nc) + 1):
+            # a product through a k-dimensional space has rank at most k
+            left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                    for _ in range(nr)]
+            right = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(k)]
+            m = RatMatrix.from_rows([[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                                      for col in zip(*right)] if right else [Fraction(0)] * nc
+                                     for row in left])
+            r = rank_over_q(m)
+            assert r == _rank_by_minors(m) <= k
+            ker = kernel_basis(m)
+            assert len(ker) == nc - r
+            for v in ker:
+                assert len(v) == nc and all(type(x) is Fraction for x in v)
+                assert all(x == 0 for x in m.apply(list(v)))
+            if ker:
+                assert rank_over_q(RatMatrix.from_rows([list(v) for v in ker])) == len(ker)
+
+
+def test_mul_trunc_matches_full_product():
+    rng = random.Random(31)
+    for _ in range(50):
+        n = rng.randint(0, 6)
+        for entry, zero in ((lambda: rng.choice([0, 0, rng.randint(-5, 5)]), 0),
+                            (lambda: Fraction(rng.choice([0, rng.randint(-5, 5)]),
+                                              rng.randint(1, 4)), Fraction(0))):
+            a = [entry() for _ in range(n + 1)]
+            b = [entry() for _ in range(n + 1)]
+            full = [zero] * (2 * n + 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    full[i + j] += x * y
+            out = mul_trunc(a, b, n, zero)
+            assert out == tuple(full[:n + 1])
+            assert all(type(c) is type(zero) for c in out)
 
 
 def test_int_polynomial_basics():
