@@ -18,6 +18,7 @@ from .exact_linalg import (
     ShapeError,
     UnimodularityError,
     det,
+    int_text,
     inverse_unimodular,
 )
 
@@ -37,7 +38,7 @@ class BilinearLattice:
             raise ShapeError("Gram matrix must be square")
         d = det(self.gram)
         if d not in (1, -1):
-            raise UnimodularityError(f"Gram determinant is {d}, expected +-1")
+            raise UnimodularityError(f"Gram determinant is {int_text(d)}, expected +-1")
 
     @staticmethod
     def from_rows(rows) -> "BilinearLattice":

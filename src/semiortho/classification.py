@@ -16,9 +16,11 @@ from typing import Sequence, Union
 
 from .bilinear_form import BilinearLattice, OperatorOnLattice, canonical_operator, right_dual
 from .exact_linalg import (
+    IntMatrix,
     RatMatrix,
     ShapeError,
     char_poly_rat,
+    clear_denominators,
     kernel_basis,
     mul_trunc,
     rank_over_q,
@@ -126,14 +128,23 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
 
 
 def _jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:
-    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks."""
+    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks.
+
+    With c the common denominator of m and mu = p/q, the integer matrix
+    c q m - c p I has the kernels of m - mu I and of its powers.  Powers stop
+    once the kernel reaches the root multiplicity: later ones keep it.
+    """
     n = m.rows
-    shifted = m - RatMatrix.identity(n).scale(mu)
-    kdims = [0]
-    power = RatMatrix.identity(n)
-    for _ in range(mult):
+    c, cm = clear_denominators(m)
+    p, q = mu.numerator, mu.denominator
+    shifted = IntMatrix(tuple(tuple(q * a - (c * p if i == j else 0) for j, a in enumerate(r))
+                              for i, r in enumerate(cm.entries)))
+    power = shifted
+    kdims = [0, n - rank_over_q(power)]
+    while kdims[-1] < mult and len(kdims) <= mult:
         power = power * shifted
         kdims.append(n - rank_over_q(power))
+    kdims += [kdims[-1]] * (mult + 1 - len(kdims))
     # chains of length >= j: kdims[j] - kdims[j-1]
     at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)]
     partition: Counter = Counter()
@@ -181,11 +192,13 @@ def _summands(kappa: RatMatrix, roots: list[tuple[Fraction, int]]) -> list[Verdi
 
 
 def kappa_of_gram(gram: RatMatrix) -> RatMatrix:
+    """kappa = gram^-1 gram^t, solved in one elimination."""
     if not gram.is_square:
         raise ShapeError("Gram matrix must be square")
-    if gram.det() == 0:
-        raise ValueError("degenerate form")
-    return gram.inverse() * gram.transpose()
+    try:
+        return gram.solve(gram.transpose())
+    except ValueError:
+        raise ValueError("degenerate form") from None
 
 
 def detect_type_gram(gram: RatMatrix) -> FormTypeReport:

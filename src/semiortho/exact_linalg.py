@@ -3,6 +3,8 @@
 Integer matrices use Python ints (arbitrary precision), rational matrices use
 fractions.Fraction, which keeps every entry reduced with positive denominator.
 All matrices are immutable values; every operation returns a fresh matrix.
+Rational kernels clear denominators and compute in integers: products,
+fraction-free elimination and the char poly never add two Fractions.
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ class _Matrix:
     def __neg__(self):
         return type(self)(tuple(tuple(-a for a in r) for r in self.entries))
 
-    # Each subclass defines its own __mul__ (bench/tracer.py times them apart)
-    # and both return this product.
-    def _product(self, other) -> tuple[tuple, ...]:
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.entries))
-        return tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                     for r in self.entries)
-
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.cols:
@@ -121,6 +114,11 @@ class _Matrix:
         return all(a == 0 for r in self.entries for a in r)
 
 
+def _check_product(a, b):
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+
+
 def _check_same_shape(a, b):
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
@@ -132,19 +130,29 @@ class IntMatrix(_Matrix):
     _cast = int
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(self._product(other))
+        _check_product(self, other)
+        cols = tuple(zip(*other.entries))
+        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries))
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(_freeze_rows(self.entries, Fraction))
 
 
 class RatMatrix(_Matrix):
-    """Dense matrix with exact rational entries (Fraction keeps them reduced)."""
+    """Dense matrix with exact rational entries (Fraction keeps them reduced).
+
+    Products, inverses and solves clear denominators and run in integers;
+    only the result entries are built as Fractions.
+    """
 
     _cast = Fraction
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self._product(other))
+        _check_product(self, other)
+        rows = [_cleared(r) for r in self.entries]
+        cols = [_cleared(c) for c in zip(*other.entries)]
+        return RatMatrix(tuple(tuple(Fraction(sum(map(mul, r, c)), s * t) for t, c in cols)
+                               for s, r in rows))
 
     def power(self, k: int) -> "RatMatrix":
         return self.inverse().power(-k) if k < 0 else super().power(k)
@@ -163,21 +171,47 @@ class RatMatrix(_Matrix):
 
     def det(self) -> Fraction:
         """Bareiss determinant of the matrix with each row's denominators cleared."""
-        scales = [math.lcm(*(a.denominator for a in r)) for r in self.entries]
-        cleared = IntMatrix(tuple(tuple(a.numerator * (s // a.denominator) for a in r)
-                                  for r, s in zip(self.entries, scales)))
-        return Fraction(det(cleared), math.prod(scales))
+        cleared = [_cleared(r) for r in self.entries]
+        return Fraction(det(IntMatrix(tuple(tuple(r) for _, r in cleared))),
+                        math.prod(s for s, _ in cleared))
 
-    def inverse(self) -> "RatMatrix":
+    def solve(self, rhs: "RatMatrix") -> "RatMatrix":
+        """The x with self * x = rhs, by one elimination of the block row [self | rhs]."""
         if not self.is_square:
-            raise ShapeError("inverse of non-square matrix")
+            raise ShapeError("a non-square matrix has no inverse")
+        if rhs.rows != self.rows:
+            raise ShapeError(f"cannot solve {self.rows}x{self.cols} against {rhs.rows} rows")
         n = self.rows
-        one, zero = Fraction(1), Fraction(0)
-        rows, pivots = _rref([list(r) + [one if i == j else zero for j in range(n)]
-                              for i, r in enumerate(self.entries)], n)
+        # scaling a block row by its common denominator leaves the solution alone
+        rows = [_cleared(r + b)[1] for r, b in zip(self.entries, rhs.entries)]
+        pivots, d, _ = _rref(rows, n)
         if len(pivots) < n:
             raise ValueError("singular matrix")
-        return RatMatrix(tuple(tuple(row[n:]) for row in rows))
+        return RatMatrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows))
+
+    def inverse(self) -> "RatMatrix":
+        return self.solve(RatMatrix.identity(self.rows))
+
+
+def _cleared(entries) -> tuple[int, list[int]]:
+    """(s, s * entries) with s the least common denominator; ints count as p/1."""
+    s = math.lcm(*(a.denominator for a in entries))
+    return s, [a.numerator * (s // a.denominator) for a in entries]
+
+
+def clear_denominators(m: _Matrix) -> tuple[int, IntMatrix]:
+    """(c, c * m) with c the least common denominator of all entries of m."""
+    c = math.lcm(*(a.denominator for r in m.entries for a in r))
+    return c, IntMatrix(tuple(tuple(a.numerator * (c // a.denominator) for a in r)
+                              for r in m.entries))
+
+
+def int_text(x: int) -> str:
+    """x in decimal, or its bit length when it is over Python's int-to-decimal limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {x.bit_length()}-bit integer"
 
 
 @dataclass(frozen=True)
@@ -239,50 +273,69 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan reduction over Q with pivots in the first `ncols` columns.
+def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduction over Z, in place, pivots in the first `ncols` columns.
 
-    Row operations act on whole rows, so columns past `ncols` (an augmented
-    block) are carried along.  Returns the reduced rows and the pivot columns.
+    Bareiss's exact division (Math. Comp. 22, 1968), applied to the rows
+    above each pivot as well as below, keeps every entry an integer minor of
+    the input.  On return each pivot row holds the same value d at its pivot
+    column and 0 at the other pivot columns, so the pivot rows divided by d
+    are the reduced row echelon form over Q.  Columns past `ncols` (an
+    augmented block) are carried along.  Returns the pivot columns, d and the
+    sign of the row permutation: a square matrix of full rank has
+    determinant sign * d.  With full=False only the rows below each pivot
+    are reduced (a row echelon form), which is all a rank needs.
     """
     pivots: list[int] = []
+    d, sign = 1, 1
     for col in range(ncols):
         top = len(pivots)
         if top == len(rows):
             break
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        inv = 1 / rows[top][col]
-        rows[top] = [x * inv for x in rows[top]]
-        for r in range(len(rows)):
-            if r != top and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            sign = -sign
+        prow = rows[top]
+        p = prow[col]
+        for r in range(0 if full else top + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            if r == top or (not f and p == d):
+                continue
+            rows[r] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
         pivots.append(col)
-    return rows, pivots
+    return pivots, d, sign
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a matrix with determinant +-1."""
-    d = det(m)
-    if d not in (1, -1):
-        raise UnimodularityError(f"determinant is {d}, expected +-1")
-    return m.to_rat().inverse().to_int()
+    if not m.is_square:
+        raise ShapeError("determinant of non-square matrix")
+    n = m.rows
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
+    pivots, d, sign = _rref(rows, n)
+    if len(pivots) < n or d not in (1, -1):
+        found = sign * d if len(pivots) == n else 0
+        raise UnimodularityError(f"determinant is {int_text(found)}, expected +-1")
+    # the reduced rows are [d I | d m^-1] with d = +-1 = 1/d
+    return IntMatrix(tuple(tuple(d * x for x in row[n:]) for row in rows))
 
 
-def _berkowitz(m: _Matrix) -> list:
+def _berkowitz(m: IntMatrix) -> list:
     """Coefficients of det(xI - m), lowest degree first, by Berkowitz's algorithm.
 
     S. J. Berkowitz, IPL 18 (1984): the char poly of each leading block is a
     Toeplitz matrix times that of the block before.  Only ring operations are
-    used, so int entries give ints and Fraction entries give Fractions.
+    used, so int entries give ints.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of non-square matrix")
     a = m.entries
-    poly = [m._cast(1)]  # highest degree first, of the leading r x r block
+    poly = [1]  # highest degree first, of the leading r x r block
     for r in range(m.rows):
         block = [a[i][:r] for i in range(r)]
         row, col = a[r][:r], [a[i][r] for i in range(r)]
@@ -305,8 +358,12 @@ def char_poly_rat(m: RatMatrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial of a rational matrix.
 
     Returns coefficients lowest degree first; leading coefficient is 1.
+    With c the common denominator, det(xI - m) = det(cxI - cm) / c^n, so the
+    integer char poly of cm gives coefficient k of this one over c^(n-k).
     """
-    return tuple(_berkowitz(m))
+    c, cm = clear_denominators(m)
+    n = m.rows
+    return tuple(Fraction(b, c ** (n - k)) for k, b in enumerate(_berkowitz(cm)))
 
 
 def nilpotency_index(m: RatMatrix) -> int | None:
@@ -328,21 +385,22 @@ def nilpotency_index(m: RatMatrix) -> int | None:
     return n  # unreachable: Cayley-Hamilton forces m^n = 0
 
 
-def rank_over_q(m: RatMatrix) -> int:
-    """Rank by exact Gaussian elimination over the rationals."""
-    return len(_rref([list(r) for r in m.entries], m.cols)[1])
+def rank_over_q(m: _Matrix) -> int:
+    """Rank over Q of an integer or rational matrix, by fraction-free elimination."""
+    return len(_rref([_cleared(r)[1] for r in m.entries], m.cols, full=False)[0])
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : m v = 0}, via reduced row echelon form."""
     ncols = m.cols
-    rows, pivots = _rref([list(r) for r in m.entries], ncols)
+    rows = [_cleared(r)[1] for r in m.entries]
+    pivots, d, _ = _rref(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = Fraction(-rows[r][fc], d)
         basis.append(tuple(v))
     return basis
 

@@ -283,11 +283,22 @@ def alpha_form(k: int, a_coords, b_coords) -> Fraction:
 
 
 def sigma_pairing(n: int, a_coords, b_coords) -> Fraction:
-    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B)."""
+    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B).
+
+    Summed term by term: (-1)^v binom(v+w, v) sigma_{n-v-w} a_v b_w over the
+    nonzero a_v, b_w with v + w <= n.
+    """
     sigma = _elementary_symmetric(n)
+    b = [(w, Fraction(y)) for w, y in enumerate(b_coords[:n + 1]) if y]
     total = Fraction(0)
-    for k in range(n + 1):
-        total += sigma[n - k] * alpha_form(k, a_coords, b_coords)
+    for v, x in enumerate(a_coords[:n + 1]):
+        if not x:
+            continue
+        x = Fraction(x)
+        for w, y in b:
+            if v + w > n:
+                break
+            total += (-1) ** v * comb(v + w, v) * sigma[n - v - w] * x * y
     return total / factorial(n)
 
 
@@ -332,7 +343,10 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
     if basis == "binomial":
         # gamma_{n-k} corresponds to the operator nabla^k
         nab = DSeries(n, _nabla_in_d(n))
-        return [nab.power(k) for k in range(n + 1)]
+        powers = [DSeries.one(n)]
+        for _ in range(n):
+            powers.append(powers[-1] * nab)
+        return powers
     if basis == "adams":
         return [DSeries.from_coeffs(n, [0] * k + [Fraction(1, factorial(k))])
                 for k in range(n + 1)]
@@ -346,17 +360,21 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
 def gram_matrix(n: int, basis: str) -> RatMatrix:
     """Exact Gram matrix of the Euler pairing in the requested basis.
 
-    The Adams matrix is produced by the sigma-formula and cross-checked
-    against the direct pairing.
+    hilbert_pairing(A, B) = sum over i + j <= n of (-1)^i a_i b_j m_(i+j), so
+    the Gram matrix is the product A H A^t of the basis coefficients A and
+    the Hankel moment matrix H.  The Adams matrix is produced by the
+    sigma-formula and cross-checked against that product.
     """
     _check_order(n)
     series = _basis_series(n, basis)
-    direct = RatMatrix.from_rows(
-        [[hilbert_pairing(n, a, b) for b in series] for a in series])
+    m = _moments(n)
+    hankel = RatMatrix.from_rows([[(-1) ** i * m[i + j] if i + j <= n else 0
+                                   for j in range(n + 1)] for i in range(n + 1)])
+    coeffs = RatMatrix.from_rows([a.coeffs for a in series])
+    direct = coeffs * hankel * coeffs.transpose()
     if basis == "adams":
-        via_sigma = RatMatrix.from_rows(
-            [[sigma_pairing(n, a.adams_coords(), b.adams_coords())
-              for b in series] for a in series])
+        adams = [a.adams_coords() for a in series]
+        via_sigma = RatMatrix.from_rows([[sigma_pairing(n, a, b) for b in adams] for a in adams])
         if not (via_sigma - direct).is_zero():
             raise AssertionError("sigma-formula disagrees with direct pairing")
         return via_sigma

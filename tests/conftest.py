@@ -5,9 +5,10 @@ structured random objects (unimodular matrices, semiorthonormal data).
 """
 
 import random
+from fractions import Fraction
 
 from semiortho.bilinear_form import BilinearLattice
-from semiortho.exact_linalg import IntMatrix
+from semiortho.exact_linalg import IntMatrix, RatMatrix
 
 
 def random_son_gram(rng: random.Random, n: int, bound: int = 4) -> IntMatrix:
@@ -45,3 +46,39 @@ def random_unimodular_gram(rng: random.Random, n: int) -> IntMatrix:
 
 def random_son_lattice(rng: random.Random, n: int, bound: int = 4) -> BilinearLattice:
     return BilinearLattice(random_son_gram(rng, n, bound))
+
+
+def fraction_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """The former Gauss-Jordan reduction over Q, kept as the reference for the integer one.
+
+    Returns the reduced rows (columns past `ncols` carried along) and the
+    pivot columns.
+    """
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [x * inv for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def fraction_rank(m) -> int:
+    return len(fraction_rref([list(r) for r in m.entries], m.cols)[1])
+
+
+def fraction_product(a, b) -> RatMatrix:
+    """Matrix product summed in Fractions, the reference for RatMatrix.__mul__."""
+    return RatMatrix(tuple(tuple(sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
+                                 for c in zip(*b.entries)) for r in a.entries))

@@ -1,6 +1,7 @@
 """Form classification: rational splitting, standard models, isometry series."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,12 +29,22 @@ from semiortho.classification import (
     type1_isometry_from_odd,
     zeta_from_kappa,
 )
+from semiortho.classification import _jordan_partition
 from semiortho.bilinear_form import (
     BilinearLattice,
     OperatorOnLattice,
     canonical_operator,
 )
-from semiortho.exact_linalg import RatMatrix, nilpotency_index
+from semiortho.exact_linalg import RatMatrix, char_poly_rat, nilpotency_index
+from semiortho.k0_pn import gram_matrix
+
+from conftest import (
+    fraction_product,
+    fraction_rank,
+    fraction_rref,
+    random_son_gram,
+    random_unimodular,
+)
 
 
 def test_rational_roots_extraction():
@@ -222,3 +233,71 @@ def test_isometry_orbit_invariant():
         IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), lat)
     with pytest.raises(ValueError):
         isometry_orbit_invariant(lat, bad)
+
+
+def fraction_jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:
+    """The former Fraction _jordan_partition, kept as the reference for the integer one.
+
+    Kernel ranks of (m - mu)^k for k = 1..mult, all in Fractions.
+    """
+    n = m.rows
+    shifted = m - RatMatrix.identity(n).scale(mu)
+    kdims = [0]
+    power = RatMatrix.identity(n)
+    for _ in range(mult):
+        power = fraction_product(power, shifted)
+        kdims.append(n - fraction_rank(power))
+    at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)]
+    partition: Counter = Counter()
+    for m_len in range(1, mult + 1):
+        cnt = at_least[m_len - 1] - (at_least[m_len] if m_len < mult else 0)
+        if cnt:
+            partition[m_len] = cnt
+    return partition
+
+
+def _congruent(rng, gram: RatMatrix) -> RatMatrix:
+    p = random_unimodular(rng, gram.rows).to_rat()
+    return p.transpose() * gram * p
+
+
+def _jordan_cases(rng):
+    """K0(P^n) Grams, standard models and their congruent sums, unitriangular Grams."""
+    for n in range(11):
+        for basis in ("twists", "adams", "binomial"):
+            yield gram_matrix(n, basis)
+    for n in range(8):
+        yield standard_type1_gram(n)
+    for k in range(1, 5):
+        for mu in (2, Fraction(-3, 2), Fraction(5, 7), (-1) ** k):
+            yield standard_type2_gram(k, mu)
+    # several chains of one eigenvalue, hidden by a change of basis
+    t1, t2 = standard_type1_gram, standard_type2_gram
+    for parts in ((t1(2), t1(2), t1(0)), (t1(1), t1(3), t2(1, -1)), (t2(2, 2), t2(1, 2), t2(1, 3)),
+                  (t2(2, Fraction(-3, 2)), t2(2, Fraction(-2, 3)), t1(4))):
+        yield _congruent(rng, _direct_sum(*parts))
+    for n in range(1, 8):
+        for _ in range(6):
+            yield random_son_gram(rng, n, bound=rng.choice((1, 2, 4))).to_rat()
+
+
+def test_integer_jordan_partition_matches_fraction_reference():
+    rng = random.Random(59)
+    checked = 0
+    for gram in _jordan_cases(rng):
+        n = gram.rows
+        kappa = kappa_of_gram(gram)
+        rows, pivots = fraction_rref([list(r) + list(c) for r, c in
+                                      zip(gram.entries, gram.transpose().entries)], n)
+        assert len(pivots) == n and kappa == RatMatrix.from_rows([r[n:] for r in rows])
+        roots, _ = rational_roots(char_poly_rat(kappa))
+        for mu, mult in roots:
+            assert _jordan_partition(kappa, mu, mult) == fraction_jordan_partition(kappa, mu, mult)
+            checked += 1
+    assert checked > 100
+
+
+def test_kappa_of_degenerate_gram_raises():
+    for rows in ([[0]], [[1, 1], [1, 1]], [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="degenerate form"):
+            kappa_of_gram(RatMatrix.from_rows(rows))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from semiortho import serialize
 from semiortho.bilinear_form import BilinearLattice
-from semiortho.cli import main
+from semiortho.cli import K0_MAX_N, main
 from semiortho.exact_linalg import IntMatrix, RatMatrix
 from semiortho.markov import MarkovTriple, reduce_to_canonical
 from semiortho.mutations import SonCollection
@@ -209,6 +209,25 @@ def test_cli_big_integers_exit_1(capsys):
                  ("mutate", "--inline", coll, "--word", "L1 L1 L1")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv[:2]
+
+
+def test_cli_determinant_too_long_to_print(capsys):
+    code, out, err = run(capsys, "classify", "--inline", '{"gram":[[%s,0],[0,%s]]}' % (BIG, BIG))
+    bits = (int(BIG) ** 2).bit_length()
+    assert (code, out) == (1, "")
+    assert err == f"error: Gram determinant is a {bits}-bit integer, expected +-1\n"
+    code, _, err = run(capsys, "classify", "--inline", '{"gram":[[2,0],[0,3]]}')
+    assert code == 1 and err == "error: Gram determinant is 6, expected +-1\n"
+
+
+def test_cli_k0_size_limit(capsys):
+    for n in (K0_MAX_N + 1, 10 ** 9):
+        for cmd in ("gram", "classify"):
+            code, out, err = run(capsys, "k0", cmd, "-n", str(n))
+            assert (code, out) == (1, "")
+            assert err == f"error: -n {n} is above the limit of {K0_MAX_N}\n"
+    code, out, _ = run(capsys, "k0", "gram", "-n", str(K0_MAX_N), "--basis", "twists")
+    assert code == 0 and len(json.loads(out)) == K0_MAX_N + 1
 
 
 def test_cli_k0_rank_does_not_pad_the_series(capsys):

@@ -16,6 +16,7 @@ from semiortho.exact_linalg import (
     UnimodularityError,
     char_poly,
     char_poly_rat,
+    clear_denominators,
     det,
     inverse_unimodular,
     kernel_basis,
@@ -24,7 +25,7 @@ from semiortho.exact_linalg import (
     rank_over_q,
 )
 
-from conftest import random_unimodular
+from conftest import fraction_product, fraction_rank, fraction_rref, random_unimodular
 
 
 def naive_det(m: IntMatrix) -> int:
@@ -319,3 +320,139 @@ def test_int_polynomial_basics():
     assert p(2) == -3
     assert p.degree == 2
     assert IntPolynomial.from_coeffs([0, 0]).is_zero()
+
+
+# Denominators a row draws from: small, mixed and past 2^64, so rows of one
+# matrix clear to very different scales.
+_DENOMINATORS = ((1,), (1, 2, 3), (4, 9, 25, 49), (2 ** 64 + 13, 3), (10 ** 30 + 57, 7 ** 20, 1))
+
+
+def _rational_cases(rng):
+    """Seeded rational matrices of 0-8 rows and columns: square, wide and tall.
+
+    Each row draws its entries over its own set of denominators.  Every shape
+    comes dense, sparse and rank-deficient (a product through a smaller space).
+    """
+    shapes = [(n, n) for n in range(9)] + [(1, 6), (2, 7), (3, 8), (5, 8), (8, 3), (7, 2),
+                                           (6, 1), (0, 3), (3, 0), (4, 6), (6, 4)]
+    for nr, nc in shapes:
+        def entry(dens, zeros=0.0):
+            if rng.random() < zeros:
+                return Fraction(0)
+            return Fraction(rng.randint(-9, 9) * rng.choice((1, 1, 10 ** 12)), rng.choice(dens))
+
+        row_dens = [rng.choice(_DENOMINATORS) for _ in range(nr)]
+        yield [[entry(d) for _ in range(nc)] for d in row_dens]
+        yield [[entry(d, zeros=0.6) for _ in range(nc)] for d in row_dens]
+        k = rng.randint(0, max(0, min(nr, nc) - 1))
+        left = [[entry(d) for _ in range(k)] for d in row_dens]
+        right = [[entry(rng.choice(_DENOMINATORS)) for _ in range(nc)] for _ in range(k)]
+        yield [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in zip(*right)]
+               if right else [Fraction(0)] * nc for r in left]
+
+
+def _reference_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    rows, pivots = fraction_rref([list(r) for r in m.entries], m.cols)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_inverse(m: RatMatrix) -> RatMatrix | None:
+    n = m.rows
+    rows, pivots = fraction_rref([list(r) + [int(i == j) for j in range(n)]
+                                  for i, r in enumerate(m.entries)], n)
+    return RatMatrix(tuple(tuple(r[n:]) for r in rows)) if len(pivots) == n else None
+
+
+def _entry_types(m) -> set:
+    return {type(x) for r in m.entries for x in r}
+
+
+def test_integer_elimination_matches_fraction_rref():
+    rng = random.Random(37)
+    count = 0
+    for _ in range(3):
+        for rows in _rational_cases(rng):
+            m = RatMatrix.from_rows(rows)
+            assert rank_over_q(m) == fraction_rank(m)
+            ker = kernel_basis(m)
+            assert ker == _reference_kernel(m)
+            assert all(type(x) is Fraction for v in ker for x in v)
+            if m.is_square:
+                ref = _reference_inverse(m)
+                if ref is None:
+                    with pytest.raises(ValueError, match="singular"):
+                        m.inverse()
+                else:
+                    inv = m.inverse()
+                    assert inv == ref and _entry_types(inv) <= {Fraction}
+                    rhs = RatMatrix.from_rows([r[::-1] + r[:1] for r in rows])
+                    assert m.solve(rhs) == fraction_product(ref, rhs)
+            count += 1
+    assert count == 3 * 3 * 20
+
+
+def test_rank_of_integer_matrices_matches_fraction_rref():
+    rng = random.Random(41)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 8), rng.randint(0, 8)
+        k = rng.randint(0, min(nr, nc))
+        left = IntMatrix.from_rows([[rng.randint(-40, 40) for _ in range(k)] for _ in range(nr)])
+        right = IntMatrix.from_rows([[rng.randint(-40, 40) for _ in range(nc)] for _ in range(k)])
+        m = left * right if k else IntMatrix.from_rows([[0] * nc for _ in range(nr)])
+        assert rank_over_q(m) == fraction_rank(m) == rank_over_q(m.to_rat())
+
+
+def test_inverse_unimodular_matches_fraction_rref():
+    rng = random.Random(43)
+    for n in range(9):
+        for _ in range(12):
+            m = random_unimodular(rng, n, steps=rng.randint(0, 6 * n))
+            inv = inverse_unimodular(m)
+            assert inv.to_rat() == _reference_inverse(m.to_rat())
+            assert _entry_types(inv) <= {int}
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3, 1, 0], [5, 2, 0], [0, 0, -7]]):
+        m = IntMatrix.from_rows(rows)
+        with pytest.raises(UnimodularityError, match=f"determinant is {det(m)}, expected"):
+            inverse_unimodular(m)
+    big = 7 ** 6000
+    message = f"determinant is a {big.bit_length()}-bit integer"
+    with pytest.raises(UnimodularityError, match=message):
+        inverse_unimodular(IntMatrix.from_rows([[big, 0], [0, 1]]))
+    with pytest.raises(ShapeError):
+        inverse_unimodular(IntMatrix.from_rows([[1, 2]]))
+
+
+def test_rat_product_matches_fraction_product():
+    rng = random.Random(47)
+    cases = list(_rational_cases(rng))
+    for a_rows in cases:
+        a = RatMatrix.from_rows(a_rows)
+        for b_rows in rng.sample(cases, 6):
+            b = RatMatrix.from_rows(b_rows)
+            if a.cols != b.rows:
+                b = b.transpose() if b.cols == a.cols else RatMatrix.zero(a.cols, 2)
+            p = a * b
+            assert p == fraction_product(a, b) and _entry_types(p) <= {Fraction}
+            assert (p.rows, p.cols) == (a.rows, b.cols)
+    with pytest.raises(ShapeError):
+        RatMatrix.zero(2, 3) * RatMatrix.zero(2, 3)
+
+
+def test_char_poly_rat_with_mixed_row_denominators():
+    rng = random.Random(53)
+    for rows in _rational_cases(rng):
+        if len(rows) and len(rows) != len(rows[0]):
+            continue
+        m = RatMatrix.from_rows(rows)
+        cp = char_poly_rat(m)
+        assert all(type(c) is Fraction for c in cp)
+        assert cp == faddeev_leverrier(m)
+    c, cm = clear_denominators(RatMatrix.from_rows([[Fraction(1, 6), 2], [Fraction(3, 4), 0]]))
+    assert (c, cm) == (12, IntMatrix.from_rows([[2, 24], [9, 0]]))

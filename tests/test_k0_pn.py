@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -28,6 +28,7 @@ from semiortho.k0_pn import (
     xi_basis,
     zeta_pn,
 )
+from semiortho import k0_pn
 from semiortho.k0_pn import _basis_series
 
 F = Fraction
@@ -245,3 +246,53 @@ def test_series_inverse():
     assert (a * a.inverse()).coeffs == (F(1), F(0), F(0), F(0))
     with pytest.raises(ValueError):
         DSeries.from_coeffs(2, [0, 1]).inverse()
+
+
+def test_hankel_gram_matches_pairwise_pairing():
+    for basis, sizes in (("twists", range(10)), ("adams", range(10)),
+                         ("binomial", range(10)), ("standard_xi", (2,))):
+        for n in sizes:
+            series = _basis_series(n, basis)
+            ref = RatMatrix.from_rows([[hilbert_pairing(n, a, b) for b in series]
+                                       for a in series])
+            g = gram_matrix(n, basis)
+            assert g == ref, (basis, n)
+            assert all(type(x) is F for r in g.entries for x in r)
+
+
+def double_loop_sigma(n: int, a_coords, b_coords) -> Fraction:
+    """The former sigma_pairing: every alpha_k summed in full."""
+    # e_k(1..n) read off prod_i (1 + i x)
+    e = [1]
+    for i in range(1, n + 1):
+        e = [a + i * b for a, b in zip(e + [0], [0] + e)]
+    return sum((e[n - k] * alpha_form(k, a_coords, b_coords) for k in range(n + 1)),
+               F(0)) / factorial(n)
+
+
+def test_sparse_sigma_pairing_matches_double_loop():
+    rng = random.Random(61)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+
+        def coords():
+            return [rng.choice((0, 0, rng.randint(-6, 6), F(rng.randint(-6, 6), rng.randint(1, 9))))
+                    for _ in range(rng.randint(0, n + 3))]
+
+        a, b = coords(), coords()
+        val = sigma_pairing(n, a, b)
+        assert type(val) is F and val == double_loop_sigma(n, a, b), (n, a, b)
+
+
+def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
+    real = k0_pn.sigma_pairing
+    for n in (0, 1, 4):
+        # off by one in the single entry pairing Psi_n with itself
+        def wrong(m, a, b):
+            return real(m, a, b) + (1 if a[m] and b[m] else 0)
+
+        monkeypatch.setattr(k0_pn, "sigma_pairing", wrong)
+        with pytest.raises(AssertionError, match="sigma-formula disagrees"):
+            gram_matrix(n, "adams")
+        monkeypatch.setattr(k0_pn, "sigma_pairing", real)
+        assert gram_matrix(n, "adams") == gram_matrix(n, "adams")
