@@ -22,9 +22,9 @@ from .exact_linalg import (
     char_poly_rat,
     clear_denominators,
     kernel_basis,
-    mul_trunc,
     rank_over_q,
 )
+from .k0_pn import DSeries
 
 
 class IrrationalSpectrumError(ValueError):
@@ -339,51 +339,12 @@ def kappa_from_zeta(zeta: RatMatrix, n: int) -> RatMatrix:
     return (e + zeta).scale(eps) * (e - zeta).inverse()
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
-    """Element of Q[z]/z^(n+1), the canonical algebra of a type-1 form."""
-
-    n: int
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coeffs(n: int, coeffs) -> "ZetaSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > n + 1:
-            raise ValueError("too many coefficients")
-        cs += [Fraction(0)] * (n + 1 - len(cs))
-        return ZetaSeries(n, tuple(cs))
-
-    @staticmethod
-    def one(n: int) -> "ZetaSeries":
-        return ZetaSeries.from_coeffs(n, [1])
-
-    def __mul__(self, other: "ZetaSeries") -> "ZetaSeries":
-        if self.n != other.n:
-            raise ShapeError("mismatched truncation orders")
-        return ZetaSeries(self.n, mul_trunc(self.coeffs, other.coeffs, self.n))
-
-    def involution(self) -> "ZetaSeries":
-        """The duality f(z) -> f(-z)."""
-        return ZetaSeries(self.n, tuple(c if i % 2 == 0 else -c
-                                        for i, c in enumerate(self.coeffs)))
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def matrix_in(self, zeta: RatMatrix) -> RatMatrix:
-        acc = RatMatrix.zero(zeta.rows, zeta.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * zeta + RatMatrix.identity(zeta.rows).scale(c)
-        return acc
-
-
 def odd_coefficient_count(n: int) -> int:
     """Number of odd powers z, z^3, ... available below degree n+1."""
     return (n + 1) // 2
 
 
-def type1_isometry_from_odd(odd: Sequence, sign: int, n: int) -> ZetaSeries:
+def type1_isometry_from_odd(odd: Sequence, sign: int, n: int) -> DSeries:
     """The unique isometry f with f(0) = sign and the given odd coefficients.
 
     Even coefficients are solved degree by degree from f(-z) f(z) = 1; the
@@ -406,11 +367,12 @@ def type1_isometry_from_odd(odd: Sequence, sign: int, n: int) -> ZetaSeries:
         # a_d terms contribute 2 a_0 a_d, everything else is already known
         rest = sum((-1) ** i * a[i] * a[d - i] for i in range(1, d))
         a[d] = -rest / (2 * a[0])
-    return ZetaSeries(n, tuple(a))
+    return DSeries(n, tuple(a))
 
 
-def is_type1_isometry(f: ZetaSeries) -> bool:
-    return (f.involution() * f).is_one()
+def is_type1_isometry(f: DSeries) -> bool:
+    """f(-z) f(z) = 1: f is an isometry of the type-1 form in Q[z]/z^(n+1)."""
+    return (f.negate_variable() * f).is_one()
 
 
 def isometry_orbit_invariant(lattice: BilinearLattice,

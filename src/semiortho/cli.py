@@ -180,13 +180,8 @@ def cmd_orbit(args) -> int:
 def _suite_braid(rng) -> int:
     failures = 0
     for _ in range(25):
-        n = rng.randint(3, 4)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-            for j in range(i + 1, n):
-                rows[i][j] = rng.randint(-4, 4)
-        c = SonCollection.standard_basis(BilinearLattice.from_rows(rows))
+        c = SonCollection.standard_basis(_random_son_lattice(rng, rng.randint(3, 4)))
+        n = len(c)
         for nu in range(1, n):
             if apply_braid(c, BraidWord.parse(f"L{nu} R{nu}")).vectors != c.vectors:
                 failures += 1

@@ -24,6 +24,14 @@ class UnimodularityError(ValueError):
     """Determinant is not +1 or -1 where unimodularity is required."""
 
 
+def exact_int(x) -> int:
+    """int(x), or ValueError when that would drop a fractional part."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"expected an integer, got a non-integral {type(x).__name__}")
+    return i
+
+
 def _freeze_rows(rows, cast):
     out = tuple(tuple(cast(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
@@ -127,7 +135,7 @@ def _check_same_shape(a, b):
 class IntMatrix(_Matrix):
     """Dense matrix with integer entries, row-major."""
 
-    _cast = int
+    _cast = staticmethod(exact_int)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         _check_product(self, other)
@@ -238,13 +246,6 @@ class IntPolynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, m: RatMatrix) -> RatMatrix:
-        """Substitute a square matrix for the variable (Cayley-Hamilton checks)."""
-        acc = RatMatrix.zero(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + RatMatrix.identity(m.rows).scale(c)
         return acc
 
 

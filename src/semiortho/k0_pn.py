@@ -1,10 +1,11 @@
 """Exact model of the Grothendieck group of projective n-space.
 
-Classes live in three coordinate systems that the code converts between
-exactly: the binomial basis gamma_n .. gamma_0 of numerical polynomials, the
-integral operator algebra Z[nabla]/nabla^(n+1), and truncated power series in
-D = d/dt.  All series (exponentials, tanh, logarithms) are generated from
-their defining recurrences in exact rationals.
+A class is a numerical polynomial, held in the binomial basis gamma_n ..
+gamma_0 (`NumPoly`).  The Chern character sends it to the truncated power
+series in D = d/dt (`DSeries`) of the operator A with A gamma_n equal to it;
+the integral classes are the series with integer coordinates over the powers
+of nabla = 1 - e^(-D).  All series (exponentials, tanh, logarithms) are
+generated from their defining recurrences in exact rationals.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact_linalg import RatMatrix, ShapeError, mul_trunc
+from .exact_linalg import RatMatrix, ShapeError, exact_int, mul_trunc
 
 
 def _check_order(n: int):
@@ -48,7 +49,7 @@ class NumPoly:
 
     @staticmethod
     def from_coords(n: int, coords) -> "NumPoly":
-        cs = [int(c) for c in coords]
+        cs = [exact_int(c) for c in coords]
         if len(cs) > n + 1:
             raise ValueError("too many coordinates")
         cs += [0] * (n + 1 - len(cs))
@@ -111,7 +112,11 @@ def nabla(f: NumPoly) -> NumPoly:
 
 @dataclass(frozen=True)
 class DSeries:
-    """Element of Q[D]/D^(n+1), D the derivative in t."""
+    """Element of Q[D]/D^(n+1), D the derivative in t.
+
+    The same algebra, with the variable read as zeta, is the canonical
+    algebra Q[zeta]/zeta^(n+1) of a type-1 form (see classification).
+    """
 
     n: int
     coeffs: tuple[Fraction, ...]
@@ -160,6 +165,16 @@ class DSeries:
         return DSeries(self.n, tuple(a if k % 2 == 0 else -a
                                      for k, a in enumerate(self.coeffs)))
 
+    def is_one(self) -> bool:
+        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+
+    def matrix_in(self, m: RatMatrix) -> RatMatrix:
+        """Substitute a square matrix for the variable, by Horner's rule."""
+        acc = RatMatrix.zero(m.rows, m.cols)
+        for c in reversed(self.coeffs):
+            acc = acc * m + RatMatrix.identity(m.rows).scale(c)
+        return acc
+
     def inverse(self) -> "DSeries":
         """Multiplicative inverse; requires nonzero constant term."""
         if self.coeffs[0] == 0:
@@ -195,31 +210,6 @@ class DSeries:
     def _check(self, other: "DSeries"):
         if self.n != other.n:
             raise ShapeError("mismatched truncation orders")
-
-
-@dataclass(frozen=True)
-class NablaSeries:
-    """Element of the integral algebra Z[nabla]/nabla^(n+1)."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def from_coeffs(n: int, coeffs) -> "NablaSeries":
-        cs = [int(c) for c in coeffs]
-        if len(cs) > n + 1:
-            raise ValueError("too many coefficients")
-        cs += [0] * (n + 1 - len(cs))
-        return NablaSeries(n, tuple(cs))
-
-    def __mul__(self, other: "NablaSeries") -> "NablaSeries":
-        if self.n != other.n:
-            raise ShapeError("mismatched truncation orders")
-        return NablaSeries(self.n, mul_trunc(self.coeffs, other.coeffs, self.n, 0))
-
-    def to_dseries(self) -> DSeries:
-        return DSeries(self.n, _substitute([Fraction(c) for c in self.coeffs],
-                                           _nabla_in_d(self.n), self.n))
 
 
 def _substitute(coeffs, var_series: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
@@ -381,23 +371,24 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
     return direct
 
 
-def rank(a) -> Fraction:
-    """The rank functional: constant term in the nabla expansion."""
-    if isinstance(a, NablaSeries):
-        return Fraction(a.coeffs[0])
-    if isinstance(a, DSeries):
-        return a.coeffs[0]
-    raise TypeError("rank expects a NablaSeries or DSeries")
+def rank(a: DSeries) -> Fraction:
+    """The rank functional: the constant term, the same over D and over nabla."""
+    if not isinstance(a, DSeries):
+        raise TypeError("rank expects a DSeries")
+    return a.coeffs[0]
 
 
-def chern(f: NumPoly) -> NablaSeries:
-    """Ring isomorphism sending gamma_(n-k) to nabla^k."""
-    return NablaSeries(f.n, f.coords)
+def chern(f: NumPoly) -> DSeries:
+    """Chern character: the ring isomorphism sending gamma_(n-k) to nabla^k.
+
+    chern(f) is the operator A with A gamma_n = f, so a twist O(k) goes to e^(kD).
+    """
+    return DSeries(f.n, _substitute(f.coords, _nabla_in_d(f.n), f.n))
 
 
-def chern_inverse(a: NablaSeries) -> NumPoly:
-    """Inverse isomorphism: A -> A gamma_n."""
-    return NumPoly(a.n, a.coeffs)
+def chern_inverse(a: DSeries) -> NumPoly:
+    """Inverse isomorphism A -> A gamma_n; ValueError unless A is integral."""
+    return NumPoly.from_coords(a.n, a.nabla_coords())
 
 
 def integrality_test(a: DSeries) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .bilinear_form import BilinearLattice, pair
-from .exact_linalg import IntMatrix, RatMatrix, ShapeError, det
+from .exact_linalg import IntMatrix, RatMatrix, ShapeError, det, exact_int
 
 
 class InadmissibleError(ValueError):
@@ -41,7 +41,7 @@ class SonCollection:
 
     @staticmethod
     def from_vectors(ambient: BilinearLattice, vectors) -> "SonCollection":
-        vs = tuple(tuple(int(x) for x in v) for v in vectors)
+        vs = tuple(tuple(exact_int(x) for x in v) for v in vectors)
         for v in vs:
             if len(v) != ambient.rank:
                 raise ShapeError("vector length must equal ambient rank")
@@ -88,7 +88,7 @@ class AdmissibleSubmodule:
 
     @staticmethod
     def from_basis(ambient: BilinearLattice, basis) -> "AdmissibleSubmodule":
-        bs = tuple(tuple(int(x) for x in v) for v in basis)
+        bs = tuple(tuple(exact_int(x) for x in v) for v in basis)
         u = AdmissibleSubmodule(ambient, bs)
         if not is_admissible(ambient, bs):
             raise InadmissibleError("restricted Gram is not unimodular")

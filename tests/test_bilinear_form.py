@@ -39,6 +39,11 @@ def test_lattice_validation():
         BilinearLattice.from_rows([[1, 0]])
     assert BilinearLattice.from_rows([]).rank == 0
     assert BilinearLattice.standard(3).rank == 3
+    # entries are never truncated: this is not the unimodular diag(1, -1)
+    with pytest.raises(ValueError, match="integer"):
+        BilinearLattice.from_rows([[1.5, 0], [0, Fraction(-3, 2)]])
+    assert BilinearLattice.from_rows([[Fraction(2, 2), 0], [0, Fraction(-3, 3)]]).gram \
+        == IntMatrix.from_rows([[1, 0], [0, -1]])
 
 
 def test_pair_convention():

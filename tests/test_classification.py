@@ -14,7 +14,6 @@ from semiortho.classification import (
     IrrationalSpectrumError,
     Type1,
     Type2,
-    ZetaSeries,
     biorthogonal_split,
     detect_type,
     detect_type_gram,
@@ -36,7 +35,7 @@ from semiortho.bilinear_form import (
     canonical_operator,
 )
 from semiortho.exact_linalg import RatMatrix, char_poly_rat, nilpotency_index
-from semiortho.k0_pn import gram_matrix
+from semiortho.k0_pn import DSeries, gram_matrix
 
 from conftest import (
     fraction_product,
@@ -160,12 +159,12 @@ def test_zeta_rejects_non_type1():
 
 
 def test_zeta_series_arithmetic():
-    f = ZetaSeries.from_coeffs(3, [1, 2])
-    g = ZetaSeries.from_coeffs(3, [1, 0, 1])
+    f = DSeries.from_coeffs(3, [1, 2])
+    g = DSeries.from_coeffs(3, [1, 0, 1])
     prod = f * g
     assert prod.coeffs == (1, 2, 1, 2)
-    assert f.involution().coeffs == (1, -2, 0, 0)
-    assert ZetaSeries.one(3).is_one()
+    assert f.negate_variable().coeffs == (1, -2, 0, 0)
+    assert DSeries.one(3).is_one()
 
 
 @given(st.integers(min_value=1, max_value=6),

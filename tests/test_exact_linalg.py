@@ -18,12 +18,14 @@ from semiortho.exact_linalg import (
     char_poly_rat,
     clear_denominators,
     det,
+    exact_int,
     inverse_unimodular,
     kernel_basis,
     mul_trunc,
     nilpotency_index,
     rank_over_q,
 )
+from semiortho.k0_pn import DSeries
 
 from conftest import fraction_product, fraction_rank, fraction_rref, random_unimodular
 
@@ -205,6 +207,14 @@ def test_shared_base_keeps_the_entry_type():
     assert r.power(-2) == r.inverse() * r.inverse()
     with pytest.raises(ShapeError):
         IntMatrix.from_rows([[1, 2]]).power(2)
+    # integer entries are cast exactly: integral values pass, others raise
+    assert exact_int(Fraction(-6, 3)) == -2 and type(exact_int(Fraction(4, 2))) is int
+    assert IntMatrix.from_rows([[Fraction(4, 2), 1.0]]).entries == ((2, 1),)
+    for bad in (1.5, Fraction(-3, 2), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="integer"):
+            exact_int(bad)
+        with pytest.raises(ValueError, match="integer"):
+            IntMatrix.from_rows([[1, 0], [0, bad]])
 
 
 def test_char_poly_cayley_hamilton():
@@ -215,7 +225,7 @@ def test_char_poly_cayley_hamilton():
         m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)]
                                  for _ in range(n)])
         p = char_poly(m)
-        assert p.eval_matrix(m.to_rat()).is_zero()
+        assert DSeries.from_coeffs(p.degree, p.coeffs).matrix_in(m.to_rat()).is_zero()
         # constant term is (-1)^n det, top coefficient 1
         coeffs = p.coeffs
         assert coeffs[-1] == 1

@@ -7,10 +7,9 @@ from math import comb, factorial
 import pytest
 
 from semiortho.classification import Type1, detect_type_gram, standard_type1_gram
-from semiortho.exact_linalg import RatMatrix
+from semiortho.exact_linalg import RatMatrix, mul_trunc
 from semiortho.k0_pn import (
     DSeries,
-    NablaSeries,
     NumPoly,
     alpha_form,
     chern,
@@ -176,8 +175,8 @@ def test_twist_gram_detects_type1(n):
 
 
 def test_rank_functional():
-    assert rank(NablaSeries.from_coeffs(2, [1])) == 1
-    assert rank(NablaSeries.from_coeffs(3, [0, 1])) == 0
+    assert rank(chern(NumPoly.from_coords(2, [1]))) == 1
+    assert rank(chern(NumPoly.from_coords(3, [0, 1]))) == 0
     with pytest.raises(TypeError):
         rank([1, 2])
     rng = random.Random(4)
@@ -197,8 +196,8 @@ def test_rank_multiplicative_on_integral_classes():
     rng = random.Random(5)
     for n in (2, 3):
         for _ in range(20):
-            a = NablaSeries.from_coeffs(n, [rng.randint(-4, 4) for _ in range(n + 1)])
-            b = NablaSeries.from_coeffs(n, [rng.randint(-4, 4) for _ in range(n + 1)])
+            a = chern(NumPoly.from_coords(n, [rng.randint(-4, 4) for _ in range(n + 1)]))
+            b = chern(NumPoly.from_coords(n, [rng.randint(-4, 4) for _ in range(n + 1)]))
             assert rank(a * b) == rank(a) * rank(b)
 
 
@@ -207,20 +206,46 @@ def test_chern_isomorphism():
     g = gamma_basis(n)
     assert chern(g[0]).coeffs == (1, 0, 0, 0, 0)
     for k in range(n + 1):
-        assert chern(g[k]).coeffs == tuple(int(i == k) for i in range(n + 1))
-    nab = NablaSeries.from_coeffs(n, [0, 1])
-    assert chern_inverse(nab * nab).coords == chern(g[2]).coeffs
+        assert chern(g[k]).nabla_coords() == tuple(int(i == k) for i in range(n + 1))
+        assert chern(g[k]).coeffs == _basis_series(n, "binomial")[k].coeffs
+    nab = chern(g[1])
+    assert chern_inverse(nab * nab).coords == g[2].coords
     # ring law: gamma_(n-i) * gamma_(n-j) = gamma_(n-i-j)
     rng = random.Random(6)
     for _ in range(20):
-        a = NablaSeries.from_coeffs(n, [rng.randint(-3, 3) for _ in range(n + 1)])
-        b = NablaSeries.from_coeffs(n, [rng.randint(-3, 3) for _ in range(n + 1)])
+        a = chern(NumPoly.from_coords(n, [rng.randint(-3, 3) for _ in range(n + 1)]))
+        b = chern(NumPoly.from_coords(n, [rng.randint(-3, 3) for _ in range(n + 1)]))
         assert chern(chern_inverse(a * b)).coeffs == (a * b).coeffs
         assert chern_inverse(a).n == n
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_chern_of_a_twist_is_the_exponential(n):
+    for k in range(-3, 4):
+        assert chern(twist_class(n, k)).coeffs == DSeries.exp(n, k).coeffs
+
+
+def test_chern_is_multiplicative_and_inverted_by_chern_inverse():
+    rng = random.Random(7)
+    for n in range(0, 6):
+        for _ in range(15):
+            f = NumPoly.from_coords(n, [rng.randint(-5, 5) for _ in range(n + 1)])
+            g = NumPoly.from_coords(n, [rng.randint(-5, 5) for _ in range(n + 1)])
+            # the product of K0 classes: gamma_(n-i) gamma_(n-j) = gamma_(n-i-j)
+            fg = NumPoly(n, mul_trunc(f.coords, g.coords, n, 0))
+            assert (chern(f) * chern(g)).coeffs == chern(fg).coeffs
+            assert chern_inverse(chern(f)) == f
+            assert chern_inverse(chern(f) * chern(g)) == fg
+
+
 def test_integrality():
     assert not integrality_test(DSeries.from_coeffs(2, [0, 1]))  # D on P^2
+    # D = nabla + nabla^2 / 2 has no numerical polynomial as its class
+    with pytest.raises(ValueError, match="integer"):
+        chern_inverse(DSeries.from_coeffs(2, [0, 1]))
+    with pytest.raises(ValueError, match="integer"):
+        NumPoly.from_coords(2, [F(1, 2)])
+    assert NumPoly.from_coords(2, [F(4, 2)]).coords == (2, 0, 0)
     for n in (2, 3):
         for k in range(n + 1):
             nabk = _basis_series(n, "binomial")[k]

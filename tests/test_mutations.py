@@ -69,6 +69,12 @@ def test_admissible_submodule_validation():
     with pytest.raises(InadmissibleError):
         AdmissibleSubmodule.from_basis(lat, [(1, 1)])  # <v,v> = 5
     assert is_admissible(lat, [(0, 1)])
+    # (3/2, 0) is not a lattice vector, though it truncates to the admissible (1, 0)
+    with pytest.raises(ValueError, match="integer"):
+        AdmissibleSubmodule.from_basis(lat, [(Fraction(3, 2), 0)])
+    with pytest.raises(ValueError, match="integer"):
+        SonCollection.from_vectors(lat, [(1.5, 0)])
+    assert SonCollection.from_vectors(lat, [(Fraction(2, 2), 0)]).vectors == ((1, 0),)
 
 
 def test_projections_characterized_by_pairings():
