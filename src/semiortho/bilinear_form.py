@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .exact_linalg import (
     IntMatrix,
-    RatMatrix,
     ShapeError,
     UnimodularityError,
     det,
@@ -55,23 +54,16 @@ class BilinearLattice:
 
 @dataclass(frozen=True)
 class OperatorOnLattice:
-    """Linear operator on a lattice, acting on coordinate columns."""
+    """Integral linear operator on a lattice, acting on coordinate columns."""
 
-    matrix: RatMatrix
+    matrix: IntMatrix
     ambient: BilinearLattice
 
     def __post_init__(self):
+        if not isinstance(self.matrix, IntMatrix):
+            raise TypeError("operator matrix must be an IntMatrix")
         if not self.matrix.is_square or self.matrix.rows != self.ambient.rank:
             raise ShapeError("operator dimension must equal lattice rank")
-
-    @staticmethod
-    def wrap(matrix, ambient: BilinearLattice) -> "OperatorOnLattice":
-        if isinstance(matrix, IntMatrix):
-            matrix = matrix.to_rat()
-        return OperatorOnLattice(matrix, ambient)
-
-    def is_integral(self) -> bool:
-        return self.matrix.is_integral()
 
 
 def pair(lattice: BilinearLattice, v: Sequence, w: Sequence):
@@ -88,29 +80,28 @@ def pair(lattice: BilinearLattice, v: Sequence, w: Sequence):
     return val
 
 
+def restricted_gram(ambient: BilinearLattice, vectors: Sequence[Sequence]) -> IntMatrix:
+    """Gram matrix [<v, w>] of integer vectors under the lattice form."""
+    return IntMatrix.from_rows([[pair(ambient, v, w) for w in vectors] for v in vectors])
+
+
 def canonical_operator(lattice: BilinearLattice) -> OperatorOnLattice:
     """kappa = X^-1 X^t; integer because X is unimodular."""
     kappa = inverse_unimodular(lattice.gram) * lattice.gram.transpose()
-    return OperatorOnLattice.wrap(kappa, lattice)
-
-
-def _gram_q(lattice: BilinearLattice) -> RatMatrix:
-    return lattice.gram.to_rat()
+    return OperatorOnLattice(kappa, lattice)
 
 
 def left_dual(lattice: BilinearLattice, phi: OperatorOnLattice) -> OperatorOnLattice:
     """The operator with <left_dual(phi) v, w> = <v, phi w>."""
-    x = _gram_q(lattice)
-    xinv = inverse_unimodular(lattice.gram).to_rat()
-    m = xinv.transpose() * phi.matrix.transpose() * x.transpose()
+    x = lattice.gram
+    m = inverse_unimodular(x).transpose() * phi.matrix.transpose() * x.transpose()
     return OperatorOnLattice(m, lattice)
 
 
 def right_dual(lattice: BilinearLattice, phi: OperatorOnLattice) -> OperatorOnLattice:
     """The operator with <v, right_dual(phi) w> = <phi v, w>."""
-    x = _gram_q(lattice)
-    xinv = inverse_unimodular(lattice.gram).to_rat()
-    m = xinv * phi.matrix.transpose() * x
+    x = lattice.gram
+    m = inverse_unimodular(x) * phi.matrix.transpose() * x
     return OperatorOnLattice(m, lattice)
 
 
@@ -130,7 +121,7 @@ def is_antiselfdual(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
 
 def is_isometry(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
     """phi^t X phi = X, equivalently right_dual(phi) phi = id."""
-    x = _gram_q(lattice)
+    x = lattice.gram
     return (phi.matrix.transpose() * x * phi.matrix - x).is_zero()
 
 
@@ -150,7 +141,7 @@ def semiorthogonal_sum(l1: BilinearLattice, l2: BilinearLattice,
 
 
 def sum_projections(l1: BilinearLattice, l2: BilinearLattice,
-                    coupling: IntMatrix) -> tuple[RatMatrix, RatMatrix]:
+                    coupling: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Projections induced by a semiorthogonal sum.
 
     lam2: M1 -> M2 with <u1, v2> = <lam2 u1, v2>_2,
@@ -158,12 +149,9 @@ def sum_projections(l1: BilinearLattice, l2: BilinearLattice,
     Both are integral since the component Grams are unimodular.
     """
     if l1.rank == 0 or l2.rank == 0:
-        return RatMatrix.zero(l2.rank, l1.rank), RatMatrix.zero(l1.rank, l2.rank)
-    c = coupling.to_rat()
-    g1inv = inverse_unimodular(l1.gram).to_rat()
-    g2inv = inverse_unimodular(l2.gram).to_rat()
-    lam2 = g2inv.transpose() * c.transpose()
-    rho1 = g1inv * c
+        return IntMatrix.zero(l2.rank, l1.rank), IntMatrix.zero(l1.rank, l2.rank)
+    lam2 = inverse_unimodular(l2.gram).transpose() * coupling.transpose()
+    rho1 = inverse_unimodular(l1.gram) * coupling
     return lam2, rho1
 
 
@@ -186,12 +174,9 @@ def verify_canmatr(l1: BilinearLattice, l2: BilinearLattice,
     top_left = k1 - rho1 * k2 * lam2
     top_right = -(rho1 * k2)
     bot_left = k2 * lam2
-    rows = []
-    for i in range(r1):
-        rows.append(tuple(top_left.entries[i]) + tuple(top_right.entries[i]))
-    for i in range(r2):
-        rows.append(tuple(bot_left.entries[i]) + tuple(k2.entries[i]))
-    return (RatMatrix.from_rows(rows) - kappa).is_zero()
+    rows = [a + b for a, b in zip(top_left.entries, top_right.entries)]
+    rows += [a + b for a, b in zip(bot_left.entries, k2.entries)]
+    return (IntMatrix(tuple(rows)) - kappa).is_zero()
 
 
 def extension_trace_check(w: BilinearLattice, ell: Sequence[int]):
@@ -209,11 +194,10 @@ def extension_trace_check(w: BilinearLattice, ell: Sequence[int]):
     total = semiorthogonal_sum(unit, w, coupling)
     kappa = canonical_operator(total).matrix
     tr_m = kappa.trace()
-    e = [Fraction(1)] + [Fraction(0)] * w.rank
+    e = [1] + [0] * w.rank
     kappa_e_e = pair(total, kappa.apply(e), e)
     ll = pair(w, ell, ell)
     tr_w = canonical_operator(w).matrix.trace()
     if tr_m != tr_w + 1 - ll or kappa_e_e != 1 - ll:
         raise AssertionError("extension trace law violated (implementation bug)")
-    val_tr = int(tr_m)
-    return val_tr, int(kappa_e_e)
+    return tr_m, kappa_e_e

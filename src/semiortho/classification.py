@@ -21,6 +21,7 @@ from .exact_linalg import (
     ShapeError,
     char_poly_rat,
     clear_denominators,
+    det,
     kernel_basis,
     rank_over_q,
 )
@@ -127,7 +128,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     return sorted(roots.items()), cur
 
 
-def _jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:
+def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Counter:
     """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks.
 
     With c the common denominator of m and mu = p/q, the integer matrix
@@ -160,7 +161,7 @@ def _pick_mu(mu: Fraction) -> Fraction:
     return mu if abs(mu.numerator) >= abs(mu.denominator) else 1 / mu
 
 
-def _summands(kappa: RatMatrix, roots: list[tuple[Fraction, int]]) -> list[Verdict]:
+def _summands(kappa: IntMatrix | RatMatrix, roots: list[tuple[Fraction, int]]) -> list[Verdict]:
     out: list[Verdict] = []
     seen_pairs = set()
     for mu, mult in roots:
@@ -201,8 +202,8 @@ def kappa_of_gram(gram: RatMatrix) -> RatMatrix:
         raise ValueError("degenerate form") from None
 
 
-def detect_type_gram(gram: RatMatrix) -> FormTypeReport:
-    kappa = kappa_of_gram(gram)
+def _report(kappa: IntMatrix | RatMatrix) -> FormTypeReport:
+    """Char poly of kappa, its rational roots and the Jordan verdict."""
     cp = char_poly_rat(kappa)
     roots, remainder = rational_roots(cp)
     if len(remainder) > 1:
@@ -213,8 +214,13 @@ def detect_type_gram(gram: RatMatrix) -> FormTypeReport:
     return FormTypeReport(cp, tuple(roots), verdict)
 
 
+def detect_type_gram(gram: RatMatrix) -> FormTypeReport:
+    return _report(kappa_of_gram(gram))
+
+
 def detect_type(lattice: BilinearLattice) -> FormTypeReport:
-    return detect_type_gram(lattice.gram.to_rat())
+    """The verdict from the integer kappa of a unimodular lattice."""
+    return _report(canonical_operator(lattice).matrix)
 
 
 @dataclass(frozen=True)
@@ -381,6 +387,6 @@ def isometry_orbit_invariant(lattice: BilinearLattice,
     kappa = canonical_operator(lattice).matrix
     if not (a.matrix * kappa - kappa * a.matrix).is_zero():
         raise ValueError("operator is not in the canonical algebra")
-    if a.matrix.det() == 0:
+    if det(a.matrix) == 0:
         raise ValueError("operator must be invertible over Q")
     return OperatorOnLattice(right_dual(lattice, a).matrix * a.matrix, lattice)

@@ -82,13 +82,13 @@ class _Matrix:
 
     def __add__(self, other):
         _check_same_shape(self, other)
-        return type(self)(tuple(tuple(a + b for a, b in zip(r, s))
-                                for r, s in zip(self.entries, other.entries)))
+        return _sum_type(self, other)(tuple(tuple(a + b for a, b in zip(r, s))
+                                            for r, s in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         _check_same_shape(self, other)
-        return type(self)(tuple(tuple(a - b for a, b in zip(r, s))
-                                for r, s in zip(self.entries, other.entries)))
+        return _sum_type(self, other)(tuple(tuple(a - b for a, b in zip(r, s))
+                                            for r, s in zip(self.entries, other.entries)))
 
     def __neg__(self):
         return type(self)(tuple(tuple(-a for a in r) for r in self.entries))
@@ -132,12 +132,20 @@ def _check_same_shape(a, b):
         raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
+def _sum_type(a, b):
+    # a sum or difference is integral only when both operands are
+    return IntMatrix if type(a) is type(b) is IntMatrix else RatMatrix
+
+
 class IntMatrix(_Matrix):
     """Dense matrix with integer entries, row-major."""
 
     _cast = staticmethod(exact_int)
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+    def __mul__(self, other: _Matrix) -> _Matrix:
+        """The product; a RatMatrix when the other factor is one."""
+        if not isinstance(other, IntMatrix):
+            return RatMatrix.__mul__(self, other)
         _check_product(self, other)
         cols = tuple(zip(*other.entries))
         return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries))
@@ -155,7 +163,8 @@ class RatMatrix(_Matrix):
 
     _cast = Fraction
 
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+    def __mul__(self, other: _Matrix) -> "RatMatrix":
+        # also the product of an IntMatrix with a RatMatrix: ints clear as p/1
         _check_product(self, other)
         rows = [_cleared(r) for r in self.entries]
         cols = [_cleared(c) for c in zip(*other.entries)]
@@ -168,14 +177,6 @@ class RatMatrix(_Matrix):
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
         return RatMatrix(tuple(tuple(c * a for a in r) for r in self.entries))
-
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for r in self.entries for a in r)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(tuple(tuple(int(a) for a in r) for r in self.entries))
 
     def det(self) -> Fraction:
         """Bareiss determinant of the matrix with each row's denominators cleared."""
@@ -355,8 +356,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial.from_coeffs(_berkowitz(m))
 
 
-def char_poly_rat(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Characteristic polynomial of a rational matrix.
+def char_poly_rat(m: _Matrix) -> tuple[Fraction, ...]:
+    """Characteristic polynomial of an integer or rational matrix, as Fractions.
 
     Returns coefficients lowest degree first; leading coefficient is 1.
     With c the common denominator, det(xI - m) = det(cxI - cm) / c^n, so the
@@ -406,13 +407,9 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def mul_trunc(a: Sequence, b: Sequence, n: int, zero=Fraction(0)) -> tuple:
-    """Product of two coefficient sequences, lowest degree first, cut after degree n.
-
-    Every coefficient starts from `zero`, which fixes the type of those no
-    term reaches: pass 0 for integer series.
-    """
-    out = [zero] * (n + 1)
+def mul_trunc(a: Sequence, b: Sequence, n: int) -> tuple[Fraction, ...]:
+    """Product of two coefficient sequences, lowest degree first, cut after degree n."""
+    out = [Fraction(0)] * (n + 1)
     for i, x in enumerate(a):
         if x == 0:
             continue

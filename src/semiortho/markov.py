@@ -230,7 +230,6 @@ def classify_rank3(lattice: BilinearLattice) -> Rank3Class:
             if g[i, j] != 0:
                 raise ValueError("basis is not semiorthonormal")
     tr = canonical_operator(lattice).matrix.trace()
-    tr = int(tr)
     if tr == 3:
         return Rank3Class("unipotent", tr)
     if tr == -1:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
-from .bilinear_form import BilinearLattice, pair
-from .exact_linalg import IntMatrix, RatMatrix, ShapeError, det, exact_int
+from .bilinear_form import BilinearLattice, pair, restricted_gram
+from .exact_linalg import IntMatrix, ShapeError, det, exact_int, inverse_unimodular
 
 
 class InadmissibleError(ValueError):
@@ -26,6 +25,10 @@ class MembershipError(ValueError):
 
 
 Direction = Literal["L", "R"]
+
+
+def _int_vector(v) -> tuple[int, ...]:
+    return tuple(exact_int(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class SonCollection:
 
     @staticmethod
     def from_vectors(ambient: BilinearLattice, vectors) -> "SonCollection":
-        vs = tuple(tuple(exact_int(x) for x in v) for v in vectors)
+        vs = tuple(map(_int_vector, vectors))
         for v in vs:
             if len(v) != ambient.rank:
                 raise ShapeError("vector length must equal ambient rank")
@@ -49,17 +52,14 @@ class SonCollection:
 
     @staticmethod
     def standard_basis(ambient: BilinearLattice) -> "SonCollection":
-        n = ambient.rank
-        return SonCollection(ambient, tuple(tuple(int(i == j) for j in range(n))
-                                            for i in range(n)))
+        return SonCollection(ambient, IntMatrix.identity(ambient.rank).entries)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def gram(self) -> IntMatrix:
         """Gram matrix of the collection under the ambient form."""
-        return IntMatrix.from_rows(
-            [[pair(self.ambient, v, w) for w in self.vectors] for v in self.vectors])
+        return restricted_gram(self.ambient, self.vectors)
 
     def flip_sign(self, i: int) -> "SonCollection":
         vs = list(self.vectors)
@@ -88,53 +88,40 @@ class AdmissibleSubmodule:
 
     @staticmethod
     def from_basis(ambient: BilinearLattice, basis) -> "AdmissibleSubmodule":
-        bs = tuple(tuple(exact_int(x) for x in v) for v in basis)
+        bs = tuple(map(_int_vector, basis))
         u = AdmissibleSubmodule(ambient, bs)
         if not is_admissible(ambient, bs):
             raise InadmissibleError("restricted Gram is not unimodular")
         return u
 
     def gram_restricted(self) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[pair(self.ambient, v, w) for w in self.basis] for v in self.basis])
+        return restricted_gram(self.ambient, self.basis)
 
     def basis_matrix(self) -> IntMatrix:
-        """Columns are the basis vectors in ambient coordinates."""
-        return IntMatrix.from_rows(self.basis).transpose()
+        """Columns are the basis vectors in ambient coordinates (rank x 0 for no basis)."""
+        return IntMatrix(tuple(zip(*self.basis)) or ((),) * self.ambient.rank)
 
 
 def is_admissible(ambient: BilinearLattice, basis) -> bool:
-    g = IntMatrix.from_rows(
-        [[pair(ambient, v, w) for w in basis] for v in basis])
-    return det(g) in (1, -1)
+    return det(restricted_gram(ambient, basis)) in (1, -1)
 
 
-def _solve_in_submodule(u: AdmissibleSubmodule, rhs: RatMatrix) -> tuple[Fraction, ...]:
-    # coordinates x with G_U x = rhs (column), then back to ambient coordinates
-    g = u.gram_restricted().to_rat()
-    x = g.inverse() * rhs
-    b = u.basis_matrix().to_rat()
-    return (b * x).transpose().entries[0]
-
+# With B the basis columns and G_U = B^t X B unimodular (admissibility), both
+# projections are B x for an integer x: G_U x = [<b_i, v>] for rho_U and
+# G_U^t x = [<v, b_i>] for lambda_U.
 
 def right_projection(u: AdmissibleSubmodule, v: Sequence[int]) -> tuple[int, ...]:
     """rho_U(v): the unique vector in U with <u, v> = <u, rho_U v> for u in U."""
-    x = u.ambient.gram.to_rat()
-    b = u.basis_matrix().to_rat()
-    col = RatMatrix.from_rows([[c] for c in (b.transpose() * x).apply([Fraction(t) for t in v])])
-    return tuple(int(c) for c in _solve_in_submodule(u, col))
+    v = _int_vector(v)
+    rhs = [pair(u.ambient, b, v) for b in u.basis]
+    return u.basis_matrix().apply(inverse_unimodular(u.gram_restricted()).apply(rhs))
 
 
 def left_projection(u: AdmissibleSubmodule, v: Sequence[int]) -> tuple[int, ...]:
     """lambda_U(v): the unique vector in U with <v, u> = <lambda_U v, u> for u in U."""
-    x = u.ambient.gram.to_rat()
-    b = u.basis_matrix().to_rat()
-    rhs = (b.transpose() * x.transpose()).apply([Fraction(t) for t in v])
-    # lambda coordinates solve x^t G_U = v^t X B, i.e. G_U^t x = B^t X^t v
-    g = u.gram_restricted().to_rat().transpose()
-    coords = g.inverse() * RatMatrix.from_rows([[c] for c in rhs])
-    amb = (u.basis_matrix().to_rat() * coords).transpose().entries[0]
-    return tuple(int(c) for c in amb)
+    v = _int_vector(v)
+    rhs = [pair(u.ambient, v, b) for b in u.basis]
+    return u.basis_matrix().apply(inverse_unimodular(u.gram_restricted()).transpose().apply(rhs))
 
 
 def _in_left_orthogonal(u: AdmissibleSubmodule, v) -> bool:
@@ -151,7 +138,7 @@ def mutation_through_submodule(u: AdmissibleSubmodule, v: Sequence[int],
                                direction: Direction) -> tuple[int, ...]:
     """Left mutation maps the left orthogonal of U onto the right one; right
     mutation is its inverse.  Both are isometries."""
-    v = tuple(int(x) for x in v)
+    v = _int_vector(v)
     if not u.basis:
         return v
     if direction == "L":
@@ -221,9 +208,9 @@ def apply_braid(c: SonCollection, word: BraidWord) -> SonCollection:
     return c
 
 
-def collection_height(g: IntMatrix) -> int:
-    """Height of a collection = max |Gram entry|."""
-    return max((abs(x) for row in g.entries for x in row), default=0)
+def collection_height(gram_rows: Sequence[Sequence[int]]) -> int:
+    """Height of a collection = max |Gram entry|, from the rows of its Gram matrix."""
+    return max((abs(x) for row in gram_rows for x in row), default=0)
 
 
 def _sign_canonical(g: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -285,7 +272,7 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
     used: set[str] = set()
     while queue:
         g = queue.popleft()
-        if max((abs(x) for row in g for x in row), default=0) > height_bound:
+        if collection_height(g) > height_bound:
             truncated = True
             continue
         for nu in range(1, n):

@@ -46,6 +46,15 @@ def test_lattice_validation():
         == IntMatrix.from_rows([[1, 0], [0, -1]])
 
 
+def test_operator_matrix_must_be_integral():
+    lat = BilinearLattice.standard(2)
+    assert OperatorOnLattice(IntMatrix.identity(2), lat).matrix == IntMatrix.identity(2)
+    with pytest.raises(TypeError):
+        OperatorOnLattice(RatMatrix.identity(2), lat)
+    with pytest.raises(ShapeError):
+        OperatorOnLattice(IntMatrix.identity(3), lat)
+
+
 def test_pair_convention():
     # gram[i][j] = <e_i, e_j>
     lat = BilinearLattice.from_rows([[1, 5], [0, 1]])
@@ -81,7 +90,7 @@ def test_canonical_operator_defining_identity():
         n = rng.randint(1, 5)
         lat = BilinearLattice(random_unimodular_gram(rng, n))
         kappa = canonical_operator(lat)
-        assert kappa.is_integral()
+        assert isinstance(kappa.matrix, IntMatrix)
         for _ in range(5):
             v = [rng.randint(-4, 4) for _ in range(n)]
             w = [rng.randint(-4, 4) for _ in range(n)]
@@ -97,7 +106,7 @@ def test_canonical_operator_markov_form():
     kappa = canonical_operator(lat)
     assert kappa.matrix.trace() == 3
     # oracle: symbolic expansion of det(xI - kappa) gives (x-1)^3
-    assert char_poly(kappa.matrix.to_int()).coeffs == (-1, 3, -3, 1)
+    assert char_poly(kappa.matrix).coeffs == (-1, 3, -3, 1)
 
 
 def test_duals_are_adjoints():
@@ -105,7 +114,7 @@ def test_duals_are_adjoints():
     for _ in range(30):
         n = rng.randint(1, 4)
         lat = BilinearLattice(random_unimodular_gram(rng, n))
-        phi = OperatorOnLattice.wrap(IntMatrix.from_rows(
+        phi = OperatorOnLattice(IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]), lat)
         lphi = left_dual(lat, phi)
         rphi = right_dual(lat, phi)
@@ -126,7 +135,7 @@ def test_reflexive_iff_duals_agree():
     for _ in range(40):
         n = rng.randint(1, 4)
         lat = BilinearLattice(random_unimodular_gram(rng, n))
-        phi = OperatorOnLattice.wrap(IntMatrix.from_rows(
+        phi = OperatorOnLattice(IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]), lat)
         duals_agree = (left_dual(lat, phi).matrix - right_dual(lat, phi).matrix).is_zero()
         assert duals_agree == is_reflexive(lat, phi)
@@ -144,8 +153,8 @@ def test_dual_of_kappa_is_inverse():
 
 def test_selfdual_antiselfdual():
     lat = BilinearLattice.standard(2)  # symmetric form: dual = transpose
-    sym = OperatorOnLattice.wrap(IntMatrix.from_rows([[1, 2], [2, 0]]), lat)
-    skew = OperatorOnLattice.wrap(IntMatrix.from_rows([[0, 1], [-1, 0]]), lat)
+    sym = OperatorOnLattice(IntMatrix.from_rows([[1, 2], [2, 0]]), lat)
+    skew = OperatorOnLattice(IntMatrix.from_rows([[0, 1], [-1, 0]]), lat)
     assert is_selfdual(lat, sym) and not is_antiselfdual(lat, sym)
     assert is_antiselfdual(lat, skew) and not is_selfdual(lat, skew)
 
@@ -161,7 +170,7 @@ def test_semiorthogonal_sum_and_projections():
         total = semiorthogonal_sum(l1, l2, coupling)
         assert total.rank == r1 + r2
         lam2, rho1 = sum_projections(l1, l2, coupling)
-        assert lam2.is_integral() and rho1.is_integral()
+        assert isinstance(lam2, IntMatrix) and isinstance(rho1, IntMatrix)
         # <u1, v2> = <lam2 u1, v2>_2 = <u1, rho1 v2>_1
         for i in range(r1):
             for j in range(r2):

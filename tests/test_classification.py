@@ -228,7 +228,7 @@ def test_isometry_orbit_invariant():
     assert (inv.matrix - RatMatrix.identity(3)).is_zero()
     # non-commuting operator rejected
     from semiortho.exact_linalg import IntMatrix
-    bad = OperatorOnLattice.wrap(
+    bad = OperatorOnLattice(
         IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), lat)
     with pytest.raises(ValueError):
         isometry_orbit_invariant(lat, bad)

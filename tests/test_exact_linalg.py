@@ -189,6 +189,21 @@ def test_rat_inverse_of_singular_matrix_raises():
         RatMatrix.from_rows([[1, 2]]).inverse()
 
 
+def test_mixed_integer_and_rational_arithmetic_is_rational():
+    a = IntMatrix.from_rows([[1, 2], [0, -3]])
+    half = RatMatrix.identity(2).scale(Fraction(1, 2))
+    ar = a.to_rat()
+    for out, ref in ((a * half, ar * half), (half * a, half * ar), (a + half, ar + half),
+                     (half + a, half + ar), (a - half, ar - half), (half - a, half - ar)):
+        assert type(out) is RatMatrix and out == ref
+        assert all(type(x) is Fraction for row in out.entries for x in row)
+    assert (a * half)[0, 1] == 1 and (a - half)[1, 1] == Fraction(-7, 2)
+    with pytest.raises(ShapeError):
+        a * RatMatrix.identity(3)
+    with pytest.raises(ShapeError):
+        a - RatMatrix.identity(3)
+
+
 def test_shared_base_keeps_the_entry_type():
     a = IntMatrix.from_rows([[1, 2], [0, 1]])
     r = a.to_rat()
@@ -320,9 +335,7 @@ def test_mul_trunc_matches_full_product():
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     full[i + j] += x * y
-            out = mul_trunc(a, b, n, zero)
-            assert out == tuple(full[:n + 1])
-            assert all(type(c) is type(zero) for c in out)
+            assert mul_trunc(a, b, n) == tuple(full[:n + 1])
 
 
 def test_int_polynomial_basics():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from semiortho.bilinear_form import BilinearLattice, pair
-from semiortho.exact_linalg import IntMatrix
+from semiortho.exact_linalg import IntMatrix, RatMatrix
 from semiortho.mutations import (
     AdmissibleSubmodule,
     BraidWord,
@@ -57,7 +57,7 @@ def test_standard_basis_and_gram():
     c = SonCollection.standard_basis(lat)
     assert c.gram().entries == lat.gram.entries
     assert is_semiorthonormal(c)
-    assert collection_height(c.gram()) == 6
+    assert collection_height(c.gram().entries) == 6
     flipped = c.flip_sign(0)
     g = flipped.gram()
     assert (g[0, 1], g[0, 2], g[1, 2]) == (-3, -6, 3)
@@ -93,6 +93,28 @@ def test_projections_characterized_by_pairings():
             assert pair(lat, lam, b) == pair(lat, v, b)
 
 
+def test_projections_match_fraction_solve():
+    # oracle: the coordinates solved over Q by RatMatrix.solve
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        c = random_son_collection(rng, n)
+        lat, basis = c.ambient, c.vectors[:rng.randint(0, n)]
+        u = AdmissibleSubmodule.from_basis(lat, basis)
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        g = RatMatrix.from_rows(u.gram_restricted().entries)
+        for project, gu, rhs in (
+                (right_projection, g, [pair(lat, b, v) for b in basis]),
+                (left_projection, g.transpose(), [pair(lat, v, b) for b in basis])):
+            got = project(u, v)
+            if not basis:
+                assert got == (0,) * n
+                continue
+            x = gu.solve(RatMatrix.from_rows([[t] for t in rhs])).transpose().row(0)
+            assert got == tuple(sum(xi * b[k] for xi, b in zip(x, basis)) for k in range(n))
+            assert all(type(t) is int for t in got)
+
+
 def test_mutation_through_submodule_inverse_pair():
     lat = BilinearLattice.from_rows([[1, 2, 1], [0, 1, 3], [0, 0, 1]])
     u = AdmissibleSubmodule.from_basis(lat, [(0, 1, 0)])
@@ -118,6 +140,18 @@ def test_mutation_membership_errors():
         mutation_through_submodule(u, (1, 1), "L")  # <v, e0> = 1, not left-orthogonal
     with pytest.raises(ValueError):
         mutation_through_submodule(u, (0, 0), "X")
+    # vectors are never truncated: int() would read (1.5, -3.0, 1.5) as the
+    # right-orthogonal (1, -3, 1) and (1/2, 0, 0) as 0
+    lat3 = BilinearLattice.from_rows([[1, 2, 0], [0, 1, 3], [0, 0, 1]])
+    u3 = AdmissibleSubmodule.from_basis(lat3, [(0, 1, 0)])
+    with pytest.raises(ValueError, match="integer"):
+        mutation_through_submodule(u3, (1.5, -3.0, 1.5), "R")
+    for project in (right_projection, left_projection):
+        with pytest.raises(ValueError, match="integer"):
+            project(u3, (Fraction(1, 2), 0, 0))
+    # integral non-int entries still pass
+    assert mutation_through_submodule(u3, (1.0, -3.0, Fraction(2, 2)), "R") \
+        == mutation_through_submodule(u3, (1, -3, 1), "R")
 
 
 def test_pair_mutation_rules():
@@ -185,6 +219,11 @@ def test_orbit_search_trivial_cases():
         BilinearLattice.from_rows([[1, 5, 0], [0, 1, 0], [0, 0, 1]]))
     r2 = orbit_search(c2, height_bound=0, max_nodes=100)
     assert r2.truncated
+    # a state whose height equals the bound is still expanded
+    c3 = SonCollection.standard_basis(BilinearLattice.from_rows([[1, 5], [0, 1]]))
+    r3 = orbit_search(c3, height_bound=5, max_nodes=10)
+    assert r3.orbit_size == 1 and not r3.truncated
+    assert orbit_search(c3, height_bound=4, max_nodes=10).truncated
     with pytest.raises(ValueError):
         orbit_search(c, height_bound=10, max_nodes=0)
 
