@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -51,6 +52,11 @@ class BilinearLattice:
     def rank(self) -> int:
         return self.gram.rows
 
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        """X^-1, integral because X is unimodular; computed on first use."""
+        return inverse_unimodular(self.gram)
+
 
 @dataclass(frozen=True)
 class OperatorOnLattice:
@@ -87,41 +93,39 @@ def restricted_gram(ambient: BilinearLattice, vectors: Sequence[Sequence]) -> In
 
 def canonical_operator(lattice: BilinearLattice) -> OperatorOnLattice:
     """kappa = X^-1 X^t; integer because X is unimodular."""
-    kappa = inverse_unimodular(lattice.gram) * lattice.gram.transpose()
-    return OperatorOnLattice(kappa, lattice)
+    return OperatorOnLattice(lattice.inverse * lattice.gram.transpose(), lattice)
 
 
-def left_dual(lattice: BilinearLattice, phi: OperatorOnLattice) -> OperatorOnLattice:
+def left_dual(phi: OperatorOnLattice) -> OperatorOnLattice:
     """The operator with <left_dual(phi) v, w> = <v, phi w>."""
-    x = lattice.gram
-    m = inverse_unimodular(x).transpose() * phi.matrix.transpose() * x.transpose()
-    return OperatorOnLattice(m, lattice)
+    lat = phi.ambient
+    m = lat.inverse.transpose() * phi.matrix.transpose() * lat.gram.transpose()
+    return OperatorOnLattice(m, lat)
 
 
-def right_dual(lattice: BilinearLattice, phi: OperatorOnLattice) -> OperatorOnLattice:
+def right_dual(phi: OperatorOnLattice) -> OperatorOnLattice:
     """The operator with <v, right_dual(phi) w> = <phi v, w>."""
-    x = lattice.gram
-    m = inverse_unimodular(x) * phi.matrix.transpose() * x
-    return OperatorOnLattice(m, lattice)
+    lat = phi.ambient
+    return OperatorOnLattice(lat.inverse * phi.matrix.transpose() * lat.gram, lat)
 
 
-def is_reflexive(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
+def is_reflexive(phi: OperatorOnLattice) -> bool:
     """True iff phi commutes with the canonical operator."""
-    k = canonical_operator(lattice).matrix
+    k = canonical_operator(phi.ambient).matrix
     return (phi.matrix * k - k * phi.matrix).is_zero()
 
 
-def is_selfdual(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
-    return (right_dual(lattice, phi).matrix - phi.matrix).is_zero()
+def is_selfdual(phi: OperatorOnLattice) -> bool:
+    return (right_dual(phi).matrix - phi.matrix).is_zero()
 
 
-def is_antiselfdual(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
-    return (right_dual(lattice, phi).matrix + phi.matrix).is_zero()
+def is_antiselfdual(phi: OperatorOnLattice) -> bool:
+    return (right_dual(phi).matrix + phi.matrix).is_zero()
 
 
-def is_isometry(lattice: BilinearLattice, phi: OperatorOnLattice) -> bool:
+def is_isometry(phi: OperatorOnLattice) -> bool:
     """phi^t X phi = X, equivalently right_dual(phi) phi = id."""
-    x = lattice.gram
+    x = phi.ambient.gram
     return (phi.matrix.transpose() * x * phi.matrix - x).is_zero()
 
 
@@ -150,9 +154,7 @@ def sum_projections(l1: BilinearLattice, l2: BilinearLattice,
     """
     if l1.rank == 0 or l2.rank == 0:
         return IntMatrix.zero(l2.rank, l1.rank), IntMatrix.zero(l1.rank, l2.rank)
-    lam2 = inverse_unimodular(l2.gram).transpose() * coupling.transpose()
-    rho1 = inverse_unimodular(l1.gram) * coupling
-    return lam2, rho1
+    return l2.inverse.transpose() * coupling.transpose(), l1.inverse * coupling
 
 
 def verify_canmatr(l1: BilinearLattice, l2: BilinearLattice,

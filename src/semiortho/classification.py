@@ -381,12 +381,11 @@ def is_type1_isometry(f: DSeries) -> bool:
     return (f.negate_variable() * f).is_one()
 
 
-def isometry_orbit_invariant(lattice: BilinearLattice,
-                             a: OperatorOnLattice) -> OperatorOnLattice:
+def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:
     """A* A; equal invariants characterize one orbit of the isometry group."""
-    kappa = canonical_operator(lattice).matrix
+    kappa = canonical_operator(a.ambient).matrix
     if not (a.matrix * kappa - kappa * a.matrix).is_zero():
         raise ValueError("operator is not in the canonical algebra")
     if det(a.matrix) == 0:
         raise ValueError("operator must be invertible over Q")
-    return OperatorOnLattice(right_dual(lattice, a).matrix * a.matrix, lattice)
+    return OperatorOnLattice(right_dual(a).matrix * a.matrix, a.ambient)

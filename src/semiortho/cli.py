@@ -180,7 +180,7 @@ def cmd_orbit(args) -> int:
 def _suite_braid(rng) -> int:
     failures = 0
     for _ in range(25):
-        c = SonCollection.standard_basis(_random_son_lattice(rng, rng.randint(3, 4)))
+        c = SonCollection.standard_basis(BilinearLattice(random_son_gram(rng, rng.randint(3, 4))))
         n = len(c)
         for nu in range(1, n):
             if apply_braid(c, BraidWord.parse(f"L{nu} R{nu}")).vectors != c.vectors:
@@ -199,13 +199,13 @@ def _suite_canonical(rng) -> int:
     failures = 0
     for _ in range(25):
         r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
-        l1 = _random_son_lattice(rng, r1)
-        l2 = _random_son_lattice(rng, r2)
+        l1 = BilinearLattice(random_son_gram(rng, r1))
+        l2 = BilinearLattice(random_son_gram(rng, r2))
         coupling = IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(r2)] for _ in range(r1)])
         if not verify_canmatr(l1, l2, coupling):
             failures += 1
-        if not is_isometry(l1, canonical_operator(l1)):
+        if not is_isometry(canonical_operator(l1)):
             failures += 1
         try:
             extension_trace_check(l1, [rng.randint(-3, 3) for _ in range(r1)])
@@ -248,13 +248,14 @@ _SUITES = {"braid": _suite_braid, "canonical": _suite_canonical,
            "sigma": _suite_sigma, "markov": _suite_markov}
 
 
-def _random_son_lattice(rng, n: int) -> BilinearLattice:
+def random_son_gram(rng: random.Random, n: int, bound: int = 4) -> IntMatrix:
+    """Upper unitriangular integer matrix: Gram of a semiorthonormal basis."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
         for j in range(i + 1, n):
-            rows[i][j] = rng.randint(-4, 4)
-    return BilinearLattice.from_rows(rows)
+            rows[i][j] = rng.randint(-bound, bound)
+    return IntMatrix.from_rows(rows)
 
 
 def cmd_verify(args) -> int:

@@ -316,7 +316,7 @@ def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[in
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a matrix with determinant +-1."""
     if not m.is_square:
-        raise ShapeError("determinant of non-square matrix")
+        raise ShapeError("inverse of non-square matrix")
     n = m.rows
     rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
     pivots, d, sign = _rref(rows, n)

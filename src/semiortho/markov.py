@@ -14,7 +14,7 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import SonCollection, _mutate_gram, is_semiorthonormal
+from .mutations import SonCollection, _mutate_gram, is_semiorthonormal, mutate_pair
 
 
 class NotMarkov(ValueError):
@@ -152,8 +152,6 @@ def realize_trace(trace: ReductionTrace) -> bool:
     each token as a sign flip or pair mutation; the collection must stay
     semiorthonormal and its Gram must hit every recorded waypoint.
     """
-    from .mutations import mutate_pair
-
     c = SonCollection.standard_basis(trace.start.lattice())
     for move in trace.moves:
         for token in move.word.split():
@@ -222,13 +220,8 @@ def classify_rank3(lattice: BilinearLattice) -> Rank3Class:
     """Jordan shape of kappa for a rank-3 semiorthonormal form, by trace."""
     if lattice.rank != 3:
         raise ValueError("classification applies to rank 3 only")
-    g = lattice.gram
-    for i in range(3):
-        if g[i, i] != 1:
-            raise ValueError("basis is not semiorthonormal")
-        for j in range(i):
-            if g[i, j] != 0:
-                raise ValueError("basis is not semiorthonormal")
+    if not is_semiorthonormal(SonCollection.standard_basis(lattice)):
+        raise ValueError("basis is not semiorthonormal")
     tr = canonical_operator(lattice).matrix.trace()
     if tr == 3:
         return Rank3Class("unipotent", tr)

@@ -9,11 +9,11 @@ generator set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .bilinear_form import BilinearLattice, pair, restricted_gram
-from .exact_linalg import IntMatrix, ShapeError, det, exact_int, inverse_unimodular
+from .exact_linalg import IntMatrix, ShapeError, UnimodularityError, exact_int
 
 
 class InadmissibleError(ValueError):
@@ -31,6 +31,13 @@ def _int_vector(v) -> tuple[int, ...]:
     return tuple(exact_int(x) for x in v)
 
 
+def _ambient_vector(ambient: BilinearLattice, v) -> tuple[int, ...]:
+    v = _int_vector(v)
+    if len(v) != ambient.rank:
+        raise ShapeError("vector length must equal ambient rank")
+    return v
+
+
 @dataclass(frozen=True)
 class SonCollection:
     """Ordered vectors in an ambient lattice, semiorthonormal by contract.
@@ -44,11 +51,7 @@ class SonCollection:
 
     @staticmethod
     def from_vectors(ambient: BilinearLattice, vectors) -> "SonCollection":
-        vs = tuple(map(_int_vector, vectors))
-        for v in vs:
-            if len(v) != ambient.rank:
-                raise ShapeError("vector length must equal ambient rank")
-        return SonCollection(ambient, vs)
+        return SonCollection(ambient, tuple(_ambient_vector(ambient, v) for v in vectors))
 
     @staticmethod
     def standard_basis(ambient: BilinearLattice) -> "SonCollection":
@@ -81,29 +84,29 @@ def is_semiorthonormal(c: SonCollection) -> bool:
 
 @dataclass(frozen=True)
 class AdmissibleSubmodule:
-    """Submodule spanned by given basis vectors, with unimodular restricted form."""
+    """Submodule spanned by given basis vectors, with unimodular restricted form.
+
+    `form` is the restricted form, built and checked on construction.
+    """
 
     ambient: BilinearLattice
     basis: tuple[tuple[int, ...], ...]
+    form: BilinearLattice = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            form = BilinearLattice(restricted_gram(self.ambient, self.basis))
+        except UnimodularityError:
+            raise InadmissibleError("restricted Gram is not unimodular") from None
+        object.__setattr__(self, "form", form)
 
     @staticmethod
     def from_basis(ambient: BilinearLattice, basis) -> "AdmissibleSubmodule":
-        bs = tuple(map(_int_vector, basis))
-        u = AdmissibleSubmodule(ambient, bs)
-        if not is_admissible(ambient, bs):
-            raise InadmissibleError("restricted Gram is not unimodular")
-        return u
-
-    def gram_restricted(self) -> IntMatrix:
-        return restricted_gram(self.ambient, self.basis)
+        return AdmissibleSubmodule(ambient, tuple(map(_int_vector, basis)))
 
     def basis_matrix(self) -> IntMatrix:
         """Columns are the basis vectors in ambient coordinates (rank x 0 for no basis)."""
         return IntMatrix(tuple(zip(*self.basis)) or ((),) * self.ambient.rank)
-
-
-def is_admissible(ambient: BilinearLattice, basis) -> bool:
-    return det(restricted_gram(ambient, basis)) in (1, -1)
 
 
 # With B the basis columns and G_U = B^t X B unimodular (admissibility), both
@@ -112,16 +115,16 @@ def is_admissible(ambient: BilinearLattice, basis) -> bool:
 
 def right_projection(u: AdmissibleSubmodule, v: Sequence[int]) -> tuple[int, ...]:
     """rho_U(v): the unique vector in U with <u, v> = <u, rho_U v> for u in U."""
-    v = _int_vector(v)
+    v = _ambient_vector(u.ambient, v)
     rhs = [pair(u.ambient, b, v) for b in u.basis]
-    return u.basis_matrix().apply(inverse_unimodular(u.gram_restricted()).apply(rhs))
+    return u.basis_matrix().apply(u.form.inverse.apply(rhs))
 
 
 def left_projection(u: AdmissibleSubmodule, v: Sequence[int]) -> tuple[int, ...]:
     """lambda_U(v): the unique vector in U with <v, u> = <lambda_U v, u> for u in U."""
-    v = _int_vector(v)
+    v = _ambient_vector(u.ambient, v)
     rhs = [pair(u.ambient, v, b) for b in u.basis]
-    return u.basis_matrix().apply(inverse_unimodular(u.gram_restricted()).transpose().apply(rhs))
+    return u.basis_matrix().apply(u.form.inverse.transpose().apply(rhs))
 
 
 def _in_left_orthogonal(u: AdmissibleSubmodule, v) -> bool:
@@ -138,9 +141,7 @@ def mutation_through_submodule(u: AdmissibleSubmodule, v: Sequence[int],
                                direction: Direction) -> tuple[int, ...]:
     """Left mutation maps the left orthogonal of U onto the right one; right
     mutation is its inverse.  Both are isometries."""
-    v = _int_vector(v)
-    if not u.basis:
-        return v
+    v = _ambient_vector(u.ambient, v)
     if direction == "L":
         if not _in_left_orthogonal(u, v):
             raise MembershipError("vector is not in the left orthogonal of U")

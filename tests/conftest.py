@@ -8,17 +8,8 @@ import random
 from fractions import Fraction
 
 from semiortho.bilinear_form import BilinearLattice
+from semiortho.cli import random_son_gram
 from semiortho.exact_linalg import IntMatrix, RatMatrix
-
-
-def random_son_gram(rng: random.Random, n: int, bound: int = 4) -> IntMatrix:
-    """Upper unitriangular integer matrix: Gram of a semiorthonormal basis."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randint(-bound, bound)
-    return IntMatrix.from_rows(rows)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = None) -> IntMatrix:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import semiortho.cli  # noqa: F401  (loads every module of the package)
 from semiortho import bilinear_form, mutations
+from semiortho.exact_linalg import IntMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,3 +38,31 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     after = namespaces()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_one_inverse_per_form(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        l1 = bilinear_form.BilinearLattice.from_rows([[1, 3, 3], [0, 1, 3], [0, 0, 1]])
+        l2 = bilinear_form.BilinearLattice.from_rows([[2, 1], [1, 1]])
+        for lat in (l1, l2):
+            kappa = bilinear_form.canonical_operator(lat)
+            bilinear_form.left_dual(kappa)
+            bilinear_form.right_dual(kappa)
+            assert bilinear_form.is_isometry(kappa)
+            assert bilinear_form.is_reflexive(kappa)
+        coupling = IntMatrix.from_rows([[1, 0], [2, -1], [0, 3]])
+        bilinear_form.sum_projections(l1, l2, coupling)
+        assert t.calls["exact_linalg.inverse_unimodular"] == 2
+        u = mutations.AdmissibleSubmodule.from_basis(l1, [(0, 1, 0)])
+        v = (1, -3, 1)  # <e1, v> = 0: in the right orthogonal of U
+        mutations.right_projection(u, v)
+        mutations.left_projection(u, v)
+        w = mutations.mutation_through_submodule(u, v, "R")
+        mutations.mutation_through_submodule(u, w, "L")
+        mutations.left_projection(u, w)
+        assert t.calls["exact_linalg.inverse_unimodular"] == 3
+    finally:
+        t.uninstall()

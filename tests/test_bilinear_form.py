@@ -97,8 +97,8 @@ def test_canonical_operator_defining_identity():
             kv = kappa.matrix.apply([Fraction(x) for x in v])
             assert pair(lat, v, w) == pair(lat, w, kv)
         # kappa is an isometry and reflexive
-        assert is_isometry(lat, kappa)
-        assert is_reflexive(lat, kappa)
+        assert is_isometry(kappa)
+        assert is_reflexive(kappa)
 
 
 def test_canonical_operator_markov_form():
@@ -116,8 +116,8 @@ def test_duals_are_adjoints():
         lat = BilinearLattice(random_unimodular_gram(rng, n))
         phi = OperatorOnLattice(IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]), lat)
-        lphi = left_dual(lat, phi)
-        rphi = right_dual(lat, phi)
+        lphi = left_dual(phi)
+        rphi = right_dual(phi)
         for _ in range(4):
             v = [rng.randint(-3, 3) for _ in range(n)]
             w = [rng.randint(-3, 3) for _ in range(n)]
@@ -126,8 +126,8 @@ def test_duals_are_adjoints():
             assert pair(lat, lphi.matrix.apply(fv), w) == pair(lat, v, phi.matrix.apply(fw))
             assert pair(lat, v, rphi.matrix.apply(fw)) == pair(lat, phi.matrix.apply(fv), w)
         # dual of dual in mixed order recovers phi
-        assert (left_dual(lat, rphi).matrix - phi.matrix).is_zero()
-        assert (right_dual(lat, lphi).matrix - phi.matrix).is_zero()
+        assert (left_dual(rphi).matrix - phi.matrix).is_zero()
+        assert (right_dual(lphi).matrix - phi.matrix).is_zero()
 
 
 def test_reflexive_iff_duals_agree():
@@ -137,8 +137,8 @@ def test_reflexive_iff_duals_agree():
         lat = BilinearLattice(random_unimodular_gram(rng, n))
         phi = OperatorOnLattice(IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]), lat)
-        duals_agree = (left_dual(lat, phi).matrix - right_dual(lat, phi).matrix).is_zero()
-        assert duals_agree == is_reflexive(lat, phi)
+        duals_agree = (left_dual(phi).matrix - right_dual(phi).matrix).is_zero()
+        assert duals_agree == is_reflexive(phi)
 
 
 def test_dual_of_kappa_is_inverse():
@@ -147,16 +147,16 @@ def test_dual_of_kappa_is_inverse():
         n = rng.randint(1, 4)
         lat = BilinearLattice(random_unimodular_gram(rng, n))
         k = canonical_operator(lat)
-        assert (right_dual(lat, k).matrix * k.matrix - RatMatrix.identity(n)).is_zero()
-        assert (left_dual(lat, k).matrix * k.matrix - RatMatrix.identity(n)).is_zero()
+        assert (right_dual(k).matrix * k.matrix - RatMatrix.identity(n)).is_zero()
+        assert (left_dual(k).matrix * k.matrix - RatMatrix.identity(n)).is_zero()
 
 
 def test_selfdual_antiselfdual():
     lat = BilinearLattice.standard(2)  # symmetric form: dual = transpose
     sym = OperatorOnLattice(IntMatrix.from_rows([[1, 2], [2, 0]]), lat)
     skew = OperatorOnLattice(IntMatrix.from_rows([[0, 1], [-1, 0]]), lat)
-    assert is_selfdual(lat, sym) and not is_antiselfdual(lat, sym)
-    assert is_antiselfdual(lat, skew) and not is_selfdual(lat, skew)
+    assert is_selfdual(sym) and not is_antiselfdual(sym)
+    assert is_antiselfdual(skew) and not is_selfdual(skew)
 
 
 def test_semiorthogonal_sum_and_projections():

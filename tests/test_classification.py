@@ -223,7 +223,7 @@ def test_isometry_solver_input_validation():
 def test_isometry_orbit_invariant():
     lat = BilinearLattice.from_rows([[1, 3, 3], [0, 1, 3], [0, 0, 1]])
     kappa = canonical_operator(lat)
-    inv = isometry_orbit_invariant(lat, kappa)
+    inv = isometry_orbit_invariant(kappa)
     # kappa* kappa = identity since kappa is an isometry
     assert (inv.matrix - RatMatrix.identity(3)).is_zero()
     # non-commuting operator rejected
@@ -231,7 +231,7 @@ def test_isometry_orbit_invariant():
     bad = OperatorOnLattice(
         IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), lat)
     with pytest.raises(ValueError):
-        isometry_orbit_invariant(lat, bad)
+        isometry_orbit_invariant(bad)
 
 
 def fraction_jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:

@@ -448,7 +448,7 @@ def test_inverse_unimodular_matches_fraction_rref():
     message = f"determinant is a {big.bit_length()}-bit integer"
     with pytest.raises(UnimodularityError, match=message):
         inverse_unimodular(IntMatrix.from_rows([[big, 0], [0, 1]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="inverse of non-square matrix"):
         inverse_unimodular(IntMatrix.from_rows([[1, 2]]))
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from semiortho.bilinear_form import BilinearLattice, pair
-from semiortho.exact_linalg import IntMatrix, RatMatrix
+from semiortho.exact_linalg import IntMatrix, RatMatrix, ShapeError
 from semiortho.mutations import (
     AdmissibleSubmodule,
     BraidWord,
@@ -17,7 +17,6 @@ from semiortho.mutations import (
     _sign_canonical,
     apply_braid,
     collection_height,
-    is_admissible,
     is_semiorthonormal,
     left_projection,
     mutate_pair,
@@ -68,7 +67,10 @@ def test_admissible_submodule_validation():
     AdmissibleSubmodule.from_basis(lat, [(1, 0)])
     with pytest.raises(InadmissibleError):
         AdmissibleSubmodule.from_basis(lat, [(1, 1)])  # <v,v> = 5
-    assert is_admissible(lat, [(0, 1)])
+    # every construction path checks the restricted form, not only from_basis
+    with pytest.raises(InadmissibleError):
+        AdmissibleSubmodule(BilinearLattice.from_rows([[1, 2], [0, 1]]), ((1, 1),))  # <v,v> = 4
+    AdmissibleSubmodule.from_basis(lat, [(0, 1)])
     # (3/2, 0) is not a lattice vector, though it truncates to the admissible (1, 0)
     with pytest.raises(ValueError, match="integer"):
         AdmissibleSubmodule.from_basis(lat, [(Fraction(3, 2), 0)])
@@ -102,7 +104,7 @@ def test_projections_match_fraction_solve():
         lat, basis = c.ambient, c.vectors[:rng.randint(0, n)]
         u = AdmissibleSubmodule.from_basis(lat, basis)
         v = [rng.randint(-5, 5) for _ in range(n)]
-        g = RatMatrix.from_rows(u.gram_restricted().entries)
+        g = RatMatrix.from_rows(u.form.gram.entries)
         for project, gu, rhs in (
                 (right_projection, g, [pair(lat, b, v) for b in basis]),
                 (left_projection, g.transpose(), [pair(lat, v, b) for b in basis])):
@@ -140,6 +142,14 @@ def test_mutation_membership_errors():
         mutation_through_submodule(u, (1, 1), "L")  # <v, e0> = 1, not left-orthogonal
     with pytest.raises(ValueError):
         mutation_through_submodule(u, (0, 0), "X")
+    # through U = 0 a mutation is the identity, on vectors of the ambient rank only
+    empty = AdmissibleSubmodule.from_basis(BilinearLattice.standard(2), [])
+    assert mutation_through_submodule(empty, (1, 2), "L") == (1, 2)
+    for direction in ("L", "R"):
+        with pytest.raises(ShapeError):
+            mutation_through_submodule(empty, (1, 2, 3, 4), direction)
+    with pytest.raises(ValueError):
+        mutation_through_submodule(empty, (1, 2), "X")
     # vectors are never truncated: int() would read (1.5, -3.0, 1.5) as the
     # right-orthogonal (1, -3, 1) and (1/2, 0, 0) as 0
     lat3 = BilinearLattice.from_rows([[1, 2, 0], [0, 1, 3], [0, 0, 1]])
