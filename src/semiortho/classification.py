@@ -3,7 +3,12 @@
 Splitting is carried out over the rationals only: when the characteristic
 polynomial of the canonical operator has irrational roots the verdict reports
 the factorization instead of decomposing.  Jordan types are computed from
-kernel-rank sequences, never from eigenvector chains.
+kernel-rank sequences, never from eigenvector chains: one integer kernel
+chain of c q kappa - c p I serves both the Jordan type and the root split.
+
+The verdict is the Jordan type of kappa.  That fixes the form up to
+congruence over an algebraically closed field, not over Q or Z: the Grams
+[[1]] and [[-1]] have the same kappa and so the same verdict.
 """
 
 from __future__ import annotations
@@ -80,60 +85,64 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _poly_eval(ints: Sequence[int], p: int, q: int) -> int:
+    """q^d f(p/q) for f = sum ints[i] x^i of degree d, by integer Horner."""
+    acc, qk = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
     return acc
 
 
-def _poly_deflate(coeffs: Sequence[Fraction], root: Fraction) -> tuple[Fraction, ...]:
-    # synthetic division by (x - root); remainder must be zero
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
+def _poly_deflate(ints: Sequence[int], p: int, q: int) -> list[int]:
+    """f / (qx - p) for a root p/q of f; exact over Z by Gauss's lemma."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + carry * p) // q
         out[i - 1] = carry
-    assert coeffs[0] + carry * root == 0
-    return tuple(out)
+    assert ints[0] + carry * p == 0
+    return out
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
-    """All rational roots with multiplicities, plus the rootless remainder factor."""
+    """All rational roots with multiplicities, plus the rootless remainder factor.
+
+    A root p/q in lowest terms of the cleared integer polynomial has p | a_0
+    and q | a_d, and dividing out (qx - p) keeps both, so the candidates are
+    enumerated once and each is divided out while it remains a root.
+    """
     cur = tuple(Fraction(c) for c in coeffs)
     roots: Counter = Counter()
-    while len(cur) > 1:
-        # strip zero roots first
-        if cur[0] == 0:
-            roots[Fraction(0)] += 1
-            cur = cur[1:]
-            continue
-        scale = math.lcm(*(c.denominator for c in cur))
-        ints = [int(c * scale) for c in cur]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(cur, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] += 1
-        cur = _poly_deflate(cur, found)
+    while len(cur) > 1 and cur[0] == 0:
+        roots[Fraction(0)] += 1
+        cur = cur[1:]
+    if len(cur) < 2:
+        return sorted(roots.items()), cur
+    scale = math.lcm(*(c.denominator for c in cur))
+    ints = [int(c * scale) for c in cur]
+    denominators = _divisors(ints[-1])
+    for p in _divisors(ints[0]):
+        for q in denominators:
+            # p and q of a root still divide the ends of the deflated polynomial
+            if math.gcd(p, q) > 1 or ints[0] % p or ints[-1] % q:
+                continue
+            for num in (p, -p):
+                while len(ints) > 1 and _poly_eval(ints, num, q) == 0:
+                    roots[Fraction(num, q)] += 1
+                    ints = _poly_deflate(ints, num, q)
+    if len(ints) < len(cur):
+        cur = tuple(cur[-1] * c / ints[-1] for c in ints)
     return sorted(roots.items()), cur
 
 
-def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Counter:
-    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks.
+def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> tuple[list[int], IntMatrix]:
+    """Kernel dimensions of (m - mu I)^k, k = 0, 1, ..., and the last power taken.
 
     With c the common denominator of m and mu = p/q, the integer matrix
     c q m - c p I has the kernels of m - mu I and of its powers.  Powers stop
-    once the kernel reaches the root multiplicity: later ones keep it.
+    once the kernel reaches the root multiplicity: later ones keep it, so the
+    last power's kernel is the root space of mu.
     """
     n = m.rows
     c, cm = clear_denominators(m)
@@ -145,6 +154,12 @@ def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Coun
     while kdims[-1] < mult and len(kdims) <= mult:
         power = power * shifted
         kdims.append(n - rank_over_q(power))
+    return kdims, power
+
+
+def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Counter:
+    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks."""
+    kdims = _kernel_chain(m, mu, mult)[0]
     kdims += [kdims[-1]] * (mult + 1 - len(kdims))
     # chains of length >= j: kdims[j] - kdims[j-1]
     at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)]
@@ -244,38 +259,29 @@ def biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
     if len(remainder) > 1:
         raise IrrationalSpectrumError(
             f"irrational eigenvalues remain (degree {len(remainder) - 1} factor)")
-    n = gram.rows
     groups: list[tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]] = []
     seen = set()
     mults = dict(roots)
-    for mu, mult in roots:
+    for mu, _ in roots:
         if mu in seen:
             continue
-        if mu in (1, -1):
-            seen.add(mu)
-            shifted = (kappa - RatMatrix.identity(n).scale(mu)).power(mult)
-            groups.append(((mu,), kernel_basis(shifted)))
-        else:
-            inv = 1 / mu
-            seen.update((mu, inv))
-            b1 = kernel_basis((kappa - RatMatrix.identity(n).scale(mu)).power(mult))
-            b2 = kernel_basis((kappa - RatMatrix.identity(n).scale(inv)).power(mults[inv]))
-            groups.append(((mu, inv), b1 + b2))
-    out = []
-    for evs, basis in groups:
-        b = RatMatrix.from_rows(basis).transpose()
-        restricted = b.transpose() * gram * b
-        out.append(SplitSummand(evs, tuple(basis), restricted))
-    # biorthogonality across groups, both orders
-    for i, s1 in enumerate(out):
-        for j, s2 in enumerate(out):
-            if i == j:
-                continue
-            for v in s1.basis:
-                for w in s2.basis:
-                    gw = gram.apply(w)
-                    if sum((x * y for x, y in zip(v, gw)), Fraction(0)) != 0:
-                        raise AssertionError("root summands fail biorthogonality")
+        evs = (mu,) if mu in (1, -1) else (mu, 1 / mu)
+        seen.update(evs)
+        # the last power of the chain has the root space as its kernel
+        basis = [v for ev in evs for v in kernel_basis(_kernel_chain(kappa, ev, mults[ev])[1])]
+        groups.append((evs, basis))
+    # one product B^t G B over all root-space bases: its diagonal blocks are
+    # the restricted Grams, every block off the diagonal must vanish
+    b = RatMatrix.from_rows(v for _, basis in groups for v in basis).transpose()
+    pairing = (b.transpose() * gram * b).entries
+    out, start = [], 0
+    for evs, vs in groups:
+        end = start + len(vs)
+        if any(x for row in pairing[start:end] for x in row[:start] + row[end:]):
+            raise AssertionError("root summands fail biorthogonality")
+        restricted = RatMatrix(tuple(row[start:end] for row in pairing[start:end]))
+        out.append(SplitSummand(evs, tuple(vs), restricted))
+        start = end
     return out
 
 
@@ -328,21 +334,20 @@ def standard_type1_gram(n: int) -> RatMatrix:
 
 
 def zeta_from_kappa(kappa: RatMatrix, n: int) -> RatMatrix:
-    """zeta = (eps kappa - E)(eps kappa + E)^-1 with eps = (-1)^n."""
+    """zeta = (eps kappa + E)^-1 (eps kappa - E) with eps = (-1)^n; the factors commute."""
     eps = (-1) ** n
     e = RatMatrix.identity(kappa.rows)
-    num = kappa.scale(eps) - e
-    den = kappa.scale(eps) + e
-    if den.det() == 0:
-        raise ValueError("eps*kappa + E is singular: not a type-1 canonical operator")
-    return num * den.inverse()
+    num, den = kappa.scale(eps) - e, kappa.scale(eps) + e
+    try:
+        return den.solve(num)
+    except ValueError:
+        raise ValueError("eps*kappa + E is singular: not a type-1 canonical operator") from None
 
 
 def kappa_from_zeta(zeta: RatMatrix, n: int) -> RatMatrix:
-    """Inverse of zeta_from_kappa: kappa = eps (1+zeta)(1-zeta)^-1."""
-    eps = (-1) ** n
+    """Inverse of zeta_from_kappa: kappa = (E - zeta)^-1 eps (E + zeta)."""
     e = RatMatrix.identity(zeta.rows)
-    return (e + zeta).scale(eps) * (e - zeta).inverse()
+    return (e - zeta).solve((e + zeta).scale((-1) ** n))
 
 
 def odd_coefficient_count(n: int) -> int:

@@ -392,7 +392,7 @@ def rank_over_q(m: _Matrix) -> int:
     return len(_rref([_cleared(r)[1] for r in m.entries], m.cols, full=False)[0])
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: _Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : m v = 0}, via reduced row echelon form."""
     ncols = m.cols
     rows = [_cleared(r)[1] for r in m.entries]

@@ -90,19 +90,8 @@ def gamma_basis(n: int) -> list[NumPoly]:
 
 
 def twist_class(n: int, k: int) -> NumPoly:
-    """Class of the k-th twisting sheaf: the polynomial gamma_n(t + k)."""
-    def f(t):
-        return _gamma_value(n, Fraction(t + k))
-    # gamma-coordinates: a_m = (nabla^m f)(-1), extracted from values at -1..-n-1
-    values = [f(-1 - i) for i in range(n + 2)]
-    coords = []
-    for m in range(n + 1):
-        # m-th finite difference at t = -1
-        a = sum((-1) ** i * comb(m, i) * values[i] for i in range(m + 1))
-        assert a.denominator == 1
-        coords.append(int(a))
-    # coords[m] multiplies gamma_m in ascending order; NumPoly wants descending
-    return NumPoly(n, tuple(coords[::-1]))
+    """Class of the k-th twisting sheaf, gamma_n(t + k): Chern character e^(kD)."""
+    return chern_inverse(DSeries.exp(n, k))
 
 
 def nabla(f: NumPoly) -> NumPoly:

@@ -2,7 +2,10 @@
 
 Numbers are exact: integers stay JSON numbers while |x| < 2^53 and become
 decimal strings beyond that; rationals are always "p/q" in lowest terms.
-Every encoder has a reader that accepts its output unchanged.
+`encode_int`, `encode_number`, `encode_matrix`, `encode_lattice`,
+`encode_collection` and `encode_triple` each have a reader that accepts
+their output unchanged.  `encode_verdict`, `encode_report`,
+`encode_orbit_report` and `encode_trace` have none yet.
 """
 
 from __future__ import annotations

@@ -66,3 +66,18 @@ def test_one_inverse_per_form(monkeypatch):
         assert t.calls["exact_linalg.inverse_unimodular"] == 3
     finally:
         t.uninstall()
+
+
+def test_tracer_counts_root_candidates(monkeypatch, capsys):
+    # K0(P^3) in the twists basis: kappa has char poly (x + 1)^4, so +1 misses
+    # once and -1 is divided out four times before the polynomial is constant
+    monkeypatch.syspath_prepend(str(BENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        assert semiortho.cli.main(["k0", "classify", "-n", "3"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.counters["roots.hits"] == 4
+    assert t.counters["roots.candidates"] == 5

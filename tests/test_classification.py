@@ -1,5 +1,6 @@
 """Form classification: rational splitting, standard models, isometry series."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,13 +29,14 @@ from semiortho.classification import (
     type1_isometry_from_odd,
     zeta_from_kappa,
 )
-from semiortho.classification import _jordan_partition
+from semiortho import classification
+from semiortho.classification import SplitSummand, _divisors, _jordan_partition
 from semiortho.bilinear_form import (
     BilinearLattice,
     OperatorOnLattice,
     canonical_operator,
 )
-from semiortho.exact_linalg import RatMatrix, char_poly_rat, nilpotency_index
+from semiortho.exact_linalg import RatMatrix, char_poly_rat, kernel_basis, nilpotency_index
 from semiortho.k0_pn import DSeries, gram_matrix
 
 from conftest import (
@@ -300,3 +302,142 @@ def test_kappa_of_degenerate_gram_raises():
     for rows in ([[0]], [[1, 1], [1, 1]], [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 1]]):
         with pytest.raises(ValueError, match="degenerate form"):
             kappa_of_gram(RatMatrix.from_rows(rows))
+
+
+def fraction_rational_roots(coeffs):
+    """The former Fraction rational_roots, kept as the reference for the integer one.
+
+    Each root p/q is found by Fraction Horner over all divisor pairs of the
+    current polynomial, then divided out by synthetic division.
+    """
+    def evaluate(cur, x):
+        acc = Fraction(0)
+        for c in reversed(cur):
+            acc = acc * x + c
+        return acc
+
+    def deflate(cur, root):
+        out = [Fraction(0)] * (len(cur) - 1)
+        carry = Fraction(0)
+        for i in range(len(cur) - 1, 0, -1):
+            carry = cur[i] + carry * root
+            out[i - 1] = carry
+        assert cur[0] + carry * root == 0
+        return tuple(out)
+
+    cur = tuple(Fraction(c) for c in coeffs)
+    roots: Counter = Counter()
+    while len(cur) > 1:
+        if cur[0] == 0:
+            roots[Fraction(0)] += 1
+            cur = cur[1:]
+            continue
+        scale = math.lcm(*(c.denominator for c in cur))
+        ints = [int(c * scale) for c in cur]
+        found = next((x for p in _divisors(ints[0]) for q in _divisors(ints[-1])
+                      for x in (Fraction(p, q), Fraction(-p, q)) if evaluate(cur, x) == 0), None)
+        if found is None:
+            break
+        roots[found] += 1
+        cur = deflate(cur, found)
+    return sorted(roots.items()), cur
+
+
+def _poly_product(factors):
+    poly = [Fraction(1)]
+    for factor in factors:
+        new = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                new[i + j] += a * b
+        poly = new
+    return poly
+
+
+def test_integer_rational_roots_match_fraction_reference():
+    rng = random.Random(71)
+    cases = [[], [0], [5], [Fraction(-2, 3)], [0, 0], [0, 0, 0], [1, 2, 0], [0, 1, 0]]
+    for _ in range(250):
+        factors = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.45:  # a linear factor with root p/q
+                factors.append([Fraction(-rng.randint(-8, 8)), Fraction(rng.randint(1, 6))])
+            elif kind < 0.75:  # x^2 + b x + c with b^2 < 4c: no rational root
+                c = rng.randint(2, 9)
+                b = rng.randint(-2, 2)
+                factors.append([Fraction(c), Fraction(b), Fraction(1)])
+            else:  # a zero root
+                factors.append([Fraction(0), Fraction(1)])
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+        cases.append([lead * c for c in _poly_product(factors)])
+    for poly in cases:
+        roots, remainder = rational_roots(poly)
+        expected_roots, expected_remainder = fraction_rational_roots(poly)
+        assert roots == expected_roots
+        assert all(type(r) is Fraction and type(m) is int for r, m in roots)
+        assert remainder == expected_remainder
+        assert all(type(c) is Fraction for c in remainder)
+
+
+def fraction_biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
+    """The former Fraction biorthogonal_split, kept as the reference for the integer chain.
+
+    Each root space is the kernel of (kappa - mu)^mult, and every pair of
+    vectors from different summands is paired one at a time.
+    """
+    kappa = kappa_of_gram(gram)
+    roots, remainder = fraction_rational_roots(char_poly_rat(kappa))
+    if len(remainder) > 1:
+        raise IrrationalSpectrumError("irrational eigenvalues remain")
+    n = gram.rows
+    mults = dict(roots)
+    seen = set()
+    out = []
+    for mu, _ in roots:
+        if mu in seen:
+            continue
+        evs = (mu,) if mu in (1, -1) else (mu, 1 / mu)
+        seen.update(evs)
+        basis = [v for ev in evs for v in kernel_basis(
+            (kappa - RatMatrix.identity(n).scale(ev)).power(mults[ev]))]
+        b = RatMatrix.from_rows(basis).transpose()
+        out.append(SplitSummand(evs, tuple(basis), b.transpose() * gram * b))
+    for i, s1 in enumerate(out):
+        for j, s2 in enumerate(out):
+            if i == j:
+                continue
+            for v in s1.basis:
+                for w in s2.basis:
+                    gw = gram.apply(w)
+                    if sum((x * y for x, y in zip(v, gw)), Fraction(0)) != 0:
+                        raise AssertionError("root summands fail biorthogonality")
+    return out
+
+
+def test_integer_split_matches_fraction_reference():
+    rng = random.Random(59)
+    checked = 0
+    for gram in _jordan_cases(rng):
+        try:
+            expected = fraction_biorthogonal_split(gram)
+        except IrrationalSpectrumError:
+            with pytest.raises(IrrationalSpectrumError):
+                biorthogonal_split(gram)
+            continue
+        split = biorthogonal_split(gram)
+        assert [s.eigenvalues for s in split] == [s.eigenvalues for s in expected]
+        assert [s.basis for s in split] == [s.basis for s in expected]
+        assert [s.restricted_gram for s in split] == [s.restricted_gram for s in expected]
+        checked += 1
+    assert checked > 60
+
+
+def test_split_detects_a_planted_cross_pairing(monkeypatch):
+    def shifted_basis(m):
+        return [(v[0] + 1,) + v[1:] for v in kernel_basis(m)]
+
+    monkeypatch.setattr(classification, "kernel_basis", shifted_basis)
+    g = _direct_sum(standard_type1_gram(2), standard_type2_gram(1, 2))
+    with pytest.raises(AssertionError, match="root summands fail biorthogonality"):
+        biorthogonal_split(g)

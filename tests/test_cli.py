@@ -341,3 +341,15 @@ def test_cli_contract_exit_codes(case):
         json.loads(out.getvalue())
     elif code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+def test_cli_classify_verdict_is_over_the_algebraic_closure(capsys):
+    # [[1]] and [[-1]] are not congruent over Q, but both have kappa = (1):
+    # the verdict is the Jordan type of kappa and cannot tell them apart
+    outputs = []
+    for gram in ('{"gram":[[1]]}', '{"gram":[[-1]]}'):
+        code, out, _ = run(capsys, "classify", "--inline", gram)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["verdict"] == {"type": "type1", "n": 0, "epsilon": 1}
