@@ -90,9 +90,7 @@ def _apply_token(triple: tuple[int, int, int], token: str) -> tuple[int, int, in
     if token == "F2":
         return (a, -b, -c)
     if token[0] in ("L", "R") and token[1:] in ("1", "2"):
-        g = ((1, a, b), (0, 1, c), (0, 0, 1))
-        ng = _mutate_gram(g, int(token[1:]), token[0])
-        return (ng[0][1], ng[0][2], ng[1][2])
+        return _mutate_gram(triple, 3, int(token[1:]), token[0])
     raise ValueError(f"unknown token {token!r}")
 
 

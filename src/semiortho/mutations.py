@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Literal, Sequence
 
 from .bilinear_form import BilinearLattice, pair, restricted_gram
@@ -71,15 +72,11 @@ class SonCollection:
 
 
 def is_semiorthonormal(c: SonCollection) -> bool:
-    g = c.gram()
-    n = len(c)
-    for i in range(n):
-        if g[i, i] != 1:
-            return False
-        for j in range(i):
-            if g[i, j] != 0:
-                return False
-    return True
+    return _unitriangular(c.gram().entries)
+
+
+def _unitriangular(rows) -> bool:
+    return all(x == int(i == j) for i, row in enumerate(rows) for j, x in enumerate(row[:i + 1]))
 
 
 @dataclass(frozen=True)
@@ -127,27 +124,17 @@ def left_projection(u: AdmissibleSubmodule, v: Sequence[int]) -> tuple[int, ...]
     return u.basis_matrix().apply(u.form.inverse.transpose().apply(rhs))
 
 
-def _in_left_orthogonal(u: AdmissibleSubmodule, v) -> bool:
-    # ^perp U = {w : <w, u> = 0 for all u in U}
-    return all(pair(u.ambient, v, b) == 0 for b in u.basis)
-
-
-def _in_right_orthogonal(u: AdmissibleSubmodule, v) -> bool:
-    # U^perp = {w : <u, w> = 0 for all u in U}
-    return all(pair(u.ambient, b, v) == 0 for b in u.basis)
-
-
 def mutation_through_submodule(u: AdmissibleSubmodule, v: Sequence[int],
                                direction: Direction) -> tuple[int, ...]:
-    """Left mutation maps the left orthogonal of U onto the right one; right
-    mutation is its inverse.  Both are isometries."""
+    """Left mutation maps ^perp U = {w : <w, U> = 0} onto U^perp = {w : <U, w> = 0};
+    right mutation is its inverse.  Both are isometries."""
     v = _ambient_vector(u.ambient, v)
     if direction == "L":
-        if not _in_left_orthogonal(u, v):
+        if any(pair(u.ambient, v, b) for b in u.basis):
             raise MembershipError("vector is not in the left orthogonal of U")
         p = right_projection(u, v)
     elif direction == "R":
-        if not _in_right_orthogonal(u, v):
+        if any(pair(u.ambient, b, v) for b in u.basis):
             raise MembershipError("vector is not in the right orthogonal of U")
         p = left_projection(u, v)
     else:
@@ -214,29 +201,43 @@ def collection_height(gram_rows: Sequence[Sequence[int]]) -> int:
     return max((abs(x) for row in gram_rows for x in row), default=0)
 
 
-def _sign_canonical(g: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    # lexicographically least Gram matrix over all per-vector sign choices;
-    # flipping vector i negates row i and column i, so entry (i, j) depends
-    # only on the relative sign s_i s_j.  One row-major pass over the entries:
-    # a nonzero entry between vectors whose relative sign is still free ties
-    # their components so that it reads -|g|; inside one component it is
-    # forced.  Tying two components leaves the relative signs inside each
-    # unchanged, so no earlier entry moves and the greedy choice is lex-least.
-    n = len(g)
+@cache
+def _layout(n: int):
+    """The (i, j) of each entry of the flat state, a rank-n Gram's strict upper
+    triangle row-major (lex-ordered as the Gram), and per nu the index of g[nu-1][nu]
+    with the index pairs (g[i][nu-1], g[i][nu]), i < nu-1, and (g[nu-1][j], g[nu][j]), j > nu."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    at = {p: k for k, p in enumerate(pairs)}
+    return pairs, [None] + [(at[b - 1, b], tuple((at[i, b - 1], at[i, b]) for i in range(b - 1))
+                             + tuple((at[b - 1, j], at[b, j]) for j in range(b + 1, n)))
+                            for b in range(1, n)]
+
+
+def _sign_canonical(s: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # lex-least flat state over per-vector sign flips; flipping vector i
+    # negates row and column i, so entry (i, j) only sees s_i s_j
+    row0 = s[:n - 1]
+    # when row 0 has no zero it comes first and ties every vector to vector 0
+    sign = [1] + [-1 if x > 0 else 1 for x in row0] if all(row0) else _tied_signs(s, n)
+    return tuple([sign[i] * sign[j] * x for (i, j), x in zip(_layout(n)[0], s)])
+
+
+def _tied_signs(s: tuple[int, ...], n: int) -> list[int]:
+    # In one row-major pass a nonzero entry between two sign components ties
+    # them so that it reads -|g|, which moves no earlier entry, so the greedy
+    # choice is lex-least; inside one component the entry is forced.
     comp = list(range(n))  # component label of each vector
     sign = [1] * n  # sign of each vector relative to its component
-    for i, row in enumerate(g):
-        for j, x in enumerate(row):
-            if x == 0 or comp[i] == comp[j]:
-                continue
-            old, flip = comp[j], sign[i] * sign[j] * x > 0
-            for k in range(n):
-                if comp[k] == old:
-                    comp[k] = comp[i]
-                    if flip:
-                        sign[k] = -sign[k]
-    return tuple(tuple(s * t * x for t, x in zip(sign, row))
-                 for s, row in zip(sign, g))
+    for (i, j), x in zip(_layout(n)[0], s):
+        if x == 0 or comp[i] == comp[j]:
+            continue
+        old, flip = comp[j], sign[i] * sign[j] * x > 0
+        for k in range(n):
+            if comp[k] == old:
+                comp[k] = comp[i]
+                if flip:
+                    sign[k] = -sign[k]
+    return sign
 
 
 MARKOV_CANONICAL_GRAM = ((1, 3, 3), (0, 1, 3), (0, 0, 1))
@@ -245,74 +246,75 @@ MARKOV_CANONICAL_GRAM = ((1, 3, 3), (0, 1, 3), (0, 0, 1))
 @dataclass(frozen=True)
 class OrbitReport:
     orbit_size: int
-    truncated: bool
+    truncated_by: tuple[str, ...]  # sorted, from "height" and "node_cap"
     canonical_gram: tuple[tuple[int, ...], ...]
     generators_used: tuple[str, ...]
     reached_markov_canonical: bool
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
 
 def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitReport:
     """BFS over mutations modulo the sign action on basis vectors.
 
-    States are Gram matrices of the collection, canonicalized to the lex-least
-    representative over sign flips.  States whose height exceeds the bound are
-    not expanded; hitting either bound flags the report as truncated.
+    States are the flat strict upper triangles of the collection's Gram,
+    canonicalized to the lex-least representative over sign flips.  A state
+    whose height, max |Gram entry| with the unit diagonal, exceeds the bound
+    is not expanded; hitting either bound flags the report as truncated.
     """
     if height_bound < 0 or max_nodes <= 0:
         raise ValueError("height bound must be >= 0 and node cap >= 1")
-    if not is_semiorthonormal(c):
+    g = c.gram().entries
+    if not _unitriangular(g):
         raise ValueError("collection is not semiorthonormal")
     n = len(c)
-    target = _sign_canonical(MARKOV_CANONICAL_GRAM) if n == 3 else None
-    start = _sign_canonical(c.gram().entries)
+    pairs = _layout(n)[0]
+    target = n == 3 and _sign_canonical(tuple(MARKOV_CANONICAL_GRAM[i][j] for i, j in pairs), 3)
+    start = _sign_canonical(tuple(g[i][j] for i, j in pairs), n)
     seen = {start}
     queue = deque([start])
-    truncated = False
-    reached = start == target
-    generators = [f"{d}{nu}" for nu in range(1, n) for d in ("L", "R")]
+    truncated_by = set()
+    limit = height_bound if height_bound >= min(n, 1) else -1  # the diagonal is 1 high
+    moves = [(nu, d, f"{d}{nu}") for nu in range(1, n) for d in ("L", "R")]
     used: set[str] = set()
     while queue:
-        g = queue.popleft()
-        if collection_height(g) > height_bound:
-            truncated = True
+        s = queue.popleft()
+        if collection_height((s,)) > limit:
+            truncated_by.add("height")
             continue
-        for nu in range(1, n):
-            for d in ("L", "R"):
-                ng = _mutate_gram(g, nu, d)
-                cang = _sign_canonical(ng)
-                if cang in seen:
-                    continue
-                if len(seen) >= max_nodes:
-                    truncated = True
-                    continue
-                seen.add(cang)
-                used.add(f"{d}{nu}")
-                if cang == target:
-                    reached = True
-                queue.append(cang)
-    canonical = min(seen)
-    return OrbitReport(orbit_size=len(seen), truncated=truncated,
-                       canonical_gram=canonical,
-                       generators_used=tuple(sorted(used)),
-                       reached_markov_canonical=bool(reached))
+        for nu, d, name in moves:
+            t = _sign_canonical(_mutate_gram(s, n, nu, d), n)
+            if t in seen:
+                continue
+            if len(seen) >= max_nodes:
+                truncated_by.add("node_cap")
+                continue
+            seen.add(t)
+            used.add(name)
+            queue.append(t)
+    flat = iter(min(seen))
+    canonical = tuple(tuple(1 if j == i else next(flat) if j > i else 0 for j in range(n))
+                      for i in range(n))
+    return OrbitReport(orbit_size=len(seen), truncated_by=tuple(sorted(truncated_by)),
+                       canonical_gram=canonical, generators_used=tuple(sorted(used)),
+                       reached_markov_canonical=target in seen)
 
 
-def _mutate_gram(g: tuple[tuple[int, ...], ...], nu: int,
-                 direction: Direction) -> tuple[tuple[int, ...], ...]:
-    # Gram effect of mutating the pair (e_{nu-1}, e_nu): the base change
-    # touches only columns nu-1, nu and then rows nu-1, nu.
-    # L: (a,b) -> (b - <a,b> a, a); R: (a,b) -> (b, a - <a,b> b).
-    a, b = nu - 1, nu
-    ab = g[a][b]
-    rows = [list(r) for r in g]
+def _mutate_gram(s: tuple[int, ...], n: int, nu: int,
+                 direction: Direction) -> tuple[int, ...]:
+    # Flat state after mutating the pair (e_{nu-1}, e_nu): only the entries
+    # above and right of the pair and ab = g[nu-1][nu] itself, which becomes -ab,
+    # move.  L: (a,b) -> (b - ab a, a); R: (a,b) -> (b, a - ab b).
+    k, touched = _layout(n)[1][nu]
+    ab = s[k]
+    t = list(s)
+    t[k] = -ab
     if direction == "L":
-        # f_{nu-1} = e_nu - ab * e_{nu-1}, f_nu = e_{nu-1}
-        for r in rows:
-            r[a], r[b] = r[b] - ab * r[a], r[a]
-        rows[a], rows[b] = [y - ab * x for x, y in zip(rows[a], rows[b])], rows[a]
+        for p, q in touched:
+            t[p], t[q] = s[q] - ab * s[p], s[p]
     else:
-        # f_{nu-1} = e_nu, f_nu = e_{nu-1} - ab * e_nu
-        for r in rows:
-            r[a], r[b] = r[b], r[a] - ab * r[b]
-        rows[a], rows[b] = rows[b], [x - ab * y for x, y in zip(rows[a], rows[b])]
-    return tuple(map(tuple, rows))
+        for p, q in touched:
+            t[p], t[q] = s[q], s[p] - ab * s[q]
+    return tuple(t)

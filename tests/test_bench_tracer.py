@@ -81,3 +81,25 @@ def test_tracer_counts_root_candidates(monkeypatch, capsys):
     capsys.readouterr()
     assert t.counters["roots.hits"] == 4
     assert t.counters["roots.candidates"] == 5
+
+
+def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
+    # the orbit search calls both kernels through their module names once per
+    # attempted mutation, which new_state_ratio is built from
+    monkeypatch.syspath_prepend(str(BENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        collection = '{"ambient": {"rank": 3, "gram": [[1, 3, 6], [0, 1, 3], [0, 0, 1]]}, ' \
+                     '"vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+        argv = ["orbit", "--inline", collection, "--max-nodes", "50",
+                "--height-bound", str(10**30)]
+        assert semiortho.cli.main(argv) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.counters["orbit.attempts"] == 200
+    assert t.calls["mutations._mutate_gram"] == 200
+    assert t.calls["mutations._sign_canonical"] == 202  # plus the start and the Markov target
+    assert t.counters["mutations.orbit_search.nodes"] == 50
+    assert t.counters["orbit.new_states"] == 49

@@ -1,10 +1,12 @@
 """Collections, projections, pair mutations, braid identities, orbit search."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
+from semiortho import mutations
 from semiortho.bilinear_form import BilinearLattice, pair
 from semiortho.exact_linalg import IntMatrix, RatMatrix, ShapeError
 from semiortho.mutations import (
@@ -236,6 +238,15 @@ def test_orbit_search_trivial_cases():
     assert orbit_search(c3, height_bound=4, max_nodes=10).truncated
     with pytest.raises(ValueError):
         orbit_search(c, height_bound=10, max_nodes=0)
+    # the unit diagonal counts: every Gram of rank >= 1 has height >= 1
+    for n in (1, 3):
+        ident = SonCollection.standard_basis(BilinearLattice.standard(n))
+        r0 = orbit_search(ident, height_bound=0, max_nodes=10)
+        assert r0.orbit_size == 1 and r0.truncated
+        assert not orbit_search(ident, height_bound=1, max_nodes=10).truncated
+    empty = orbit_search(SonCollection.standard_basis(BilinearLattice.standard(0)),
+                         height_bound=0, max_nodes=10)
+    assert empty.orbit_size == 1 and not empty.truncated and empty.canonical_gram == ()
 
 
 def test_orbit_search_finite_orbit():
@@ -244,6 +255,18 @@ def test_orbit_search_finite_orbit():
     r = orbit_search(c, height_bound=10, max_nodes=1000)
     assert not r.truncated
     assert r.orbit_size == 1  # sign-canonical Gram never changes
+
+
+def _flat(rows):
+    """Strict upper triangle of a Gram, row-major: the orbit search's state."""
+    return tuple(x for i, row in enumerate(rows) for x in row[i + 1:])
+
+
+def _expand(s, n):
+    """Unitriangular Gram with strict upper triangle s."""
+    flat = iter(s)
+    return tuple(tuple(1 if j == i else next(flat) if j > i else 0 for j in range(n))
+                 for i in range(n))
 
 
 def _sign_canonical_scan(g):
@@ -258,8 +281,81 @@ def _sign_canonical_scan(g):
     return best
 
 
-def test_sign_canonical_matches_full_scan():
+def _full_sign_canonical(g):
+    """The former union-find over a full n x n Gram, kept as a reference."""
+    n = len(g)
+    comp = list(range(n))
+    sign = [1] * n
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if x == 0 or comp[i] == comp[j]:
+                continue
+            old, flip = comp[j], sign[i] * sign[j] * x > 0
+            for k in range(n):
+                if comp[k] == old:
+                    comp[k] = comp[i]
+                    if flip:
+                        sign[k] = -sign[k]
+    return tuple(tuple(s * t * x for t, x in zip(sign, row))
+                 for s, row in zip(sign, g))
+
+
+def _full_mutate_gram(g, nu, direction):
+    """The former full-matrix Gram mutation, kept as a reference."""
+    a, b = nu - 1, nu
+    ab = g[a][b]
+    rows = [list(r) for r in g]
+    if direction == "L":
+        for r in rows:
+            r[a], r[b] = r[b] - ab * r[a], r[a]
+        rows[a], rows[b] = [y - ab * x for x, y in zip(rows[a], rows[b])], rows[a]
+    else:
+        for r in rows:
+            r[a], r[b] = r[b], r[a] - ab * r[b]
+        rows[a], rows[b] = rows[b], [x - ab * y for x, y in zip(rows[a], rows[b])]
+    return tuple(map(tuple, rows))
+
+
+def _full_orbit_search(c, height_bound, max_nodes):
+    """The former BFS over full Grams, kept as a reference; it records a
+    truncation reason wherever it used to set `truncated`."""
+    n = len(c)
+    target = _full_sign_canonical(((1, 3, 3), (0, 1, 3), (0, 0, 1))) if n == 3 else None
+    start = _full_sign_canonical(c.gram().entries)
+    seen = {start}
+    queue = deque([start])
+    stops = set()
+    reached = start == target
+    used = set()
+    while queue:
+        g = queue.popleft()
+        if collection_height(g) > height_bound:
+            stops.add("height")
+            continue
+        for nu in range(1, n):
+            for d in ("L", "R"):
+                cang = _full_sign_canonical(_full_mutate_gram(g, nu, d))
+                if cang in seen:
+                    continue
+                if len(seen) >= max_nodes:
+                    stops.add("node_cap")
+                    continue
+                seen.add(cang)
+                used.add(f"{d}{nu}")
+                if cang == target:
+                    reached = True
+                queue.append(cang)
+    return {"orbit_size": len(seen), "truncated": bool(stops),
+            "truncated_by": tuple(sorted(stops)), "canonical_gram": min(seen),
+            "generators_used": tuple(sorted(used)), "reached_markov_canonical": reached}
+
+
+def test_sign_canonical_matches_full_scan(monkeypatch):
     rng = random.Random(13)
+    tied = []  # states the union-find saw; a row 0 with no zero is read in O(n)
+    union_find = mutations._tied_signs
+    monkeypatch.setattr(mutations, "_tied_signs", lambda s, n: tied.append(s) or union_find(s, n))
+    row0_zero = row0_full = 0
     for k in range(2400):
         n = k % 8
         full = k % 16 >= 8  # upper-triangular Grams in one half, full ones in the other
@@ -268,7 +364,29 @@ def test_sign_canonical_matches_full_scan():
             (rng.randint(-5, 5) if rng.random() >= zero_rate else 0)
             if (full or j > i) and i != j else int(i == j)
             for j in range(n)) for i in range(n))
-        assert _sign_canonical(g) == _sign_canonical_scan(g), g
+        # the flat state holds the upper triangle; the former full-matrix
+        # union-find still answers for the full Grams
+        want = _sign_canonical_scan(g)
+        assert _full_sign_canonical(g) == want, g
+        s = _flat(g)
+        upper = _expand(s, n)
+        before = len(tied)
+        assert _sign_canonical(s, n) == _flat(want if upper == g else _sign_canonical_scan(upper)), g
+        # the union-find runs exactly when row 0 has a zero
+        assert len(tied) - before == (n > 1 and not all(g[0][1:])), g
+        if n > 1:
+            row0_full += all(g[0][1:])
+            row0_zero += not all(g[0][1:])
+    # both the row 0 path and the union-find ran often
+    assert row0_full > 300 and row0_zero > 300
+    for g in (((1, 0, 4, -2), (0, 1, 3, 0), (0, 0, 1, 5), (0, 0, 0, 1)),
+              ((1, 0, 0), (0, 1, -2), (0, 0, 1)),
+              ((1, 2, 0), (0, 1, 0), (0, 0, 1)),
+              ((1, -1, 3, 0, 2), (0, 1, 0, 4, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, 3),
+               (0, 0, 0, 0, 1))):
+        before = len(tied)
+        assert _sign_canonical(_flat(g), len(g)) == _flat(_sign_canonical_scan(g)), g
+        assert len(tied) == before + 1, g
 
 
 def test_mutate_gram_matches_mutated_collection():
@@ -279,4 +397,32 @@ def test_mutate_gram_matches_mutated_collection():
         g = c.gram().entries
         for nu in range(1, n):
             for d in ("L", "R"):
-                assert _mutate_gram(g, nu, d) == mutate_pair(c, nu, d).gram().entries
+                mutated = mutate_pair(c, nu, d).gram().entries
+                assert _mutate_gram(_flat(g), n, nu, d) == _flat(mutated)
+                assert _full_mutate_gram(g, nu, d) == mutated
+
+
+def test_orbit_search_matches_full_matrix_reference():
+    rng = random.Random(17)
+    for n in range(7):
+        for _ in range(3):
+            c = random_son_collection(rng, n) if n > 1 else \
+                SonCollection.standard_basis(BilinearLattice.standard(n))
+            h = collection_height(c.gram().entries)
+            caps = (1, rng.randint(2, 299), 300)
+            for bound in sorted({0, 1, h, max(h - 1, 0), 10**30}):
+                for cap in caps:
+                    got = orbit_search(c, bound, cap)
+                    want = _full_orbit_search(c, bound, cap)
+                    assert {f: getattr(got, f) for f in want} == want, (n, bound, cap)
+                    assert got.truncated == bool(got.truncated_by)
+
+
+def test_orbit_report_truncation_reasons():
+    twist = SonCollection.standard_basis(
+        BilinearLattice.from_rows([[1, 3, 6], [0, 1, 3], [0, 0, 1]]))
+    short = SonCollection.standard_basis(BilinearLattice.from_rows([[1, 5], [0, 1]]))
+    assert orbit_search(short, height_bound=4, max_nodes=10).truncated_by == ("height",)
+    assert orbit_search(short, height_bound=5, max_nodes=10).truncated_by == ()
+    assert orbit_search(twist, 10**30, 50).truncated_by == ("node_cap",)
+    assert orbit_search(twist, 1000, 50).truncated_by == ("height", "node_cap")
