@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .bilinear_form import BilinearLattice, OperatorOnLattice, canonical_operator, right_dual
 from .exact_linalg import (
@@ -136,13 +136,14 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     return sorted(roots.items()), cur
 
 
-def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> tuple[list[int], IntMatrix]:
-    """Kernel dimensions of (m - mu I)^k, k = 0, 1, ..., and the last power taken.
+def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction) -> Iterator[tuple[int, IntMatrix]]:
+    """(dim ker (m - mu I)^k, an integer matrix with that kernel), k = 1, 2, ...
 
     With c the common denominator of m and mu = p/q, the integer matrix
-    c q m - c p I has the kernels of m - mu I and of its powers.  Powers stop
-    once the kernel reaches the root multiplicity: later ones keep it, so the
-    last power's kernel is the root space of mu.
+    c q m - c p I has the kernels of m - mu I and of its powers.  The chain is
+    lazy: each power is taken only when the caller reads on, and once the
+    kernel reaches the root multiplicity later powers keep it, so that power's
+    kernel is the root space of mu.
     """
     n = m.rows
     c, cm = clear_denominators(m)
@@ -150,18 +151,26 @@ def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> tuple[li
     shifted = IntMatrix(tuple(tuple(q * a - (c * p if i == j else 0) for j, a in enumerate(r))
                               for i, r in enumerate(cm.entries)))
     power = shifted
-    kdims = [0, n - rank_over_q(power)]
-    while kdims[-1] < mult and len(kdims) <= mult:
+    while True:
+        yield n - rank_over_q(power), power
         power = power * shifted
-        kdims.append(n - rank_over_q(power))
-    return kdims, power
 
 
 def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Counter:
-    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks."""
-    kdims = _kernel_chain(m, mu, mult)[0]
-    kdims += [kdims[-1]] * (mult + 1 - len(kdims))
-    # chains of length >= j: kdims[j] - kdims[j-1]
+    """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks.
+
+    kdims[k] - kdims[k-1] counts the chains of length >= k.  The chain stops
+    at the multiplicity, or as soon as that count is at most 1: a single
+    chain still growing takes the rest of the multiplicity, one dimension per
+    power, so the later kernel dimensions need no power and no rank.
+    """
+    kdims = [0]
+    for dim, _ in _kernel_chain(m, mu):
+        kdims.append(dim)
+        if dim >= mult or dim - kdims[-2] <= 1:
+            break
+    while len(kdims) <= mult:
+        kdims.append(min(mult, 2 * kdims[-1] - kdims[-2]))
     at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)]
     partition: Counter = Counter()
     for m_len in range(1, mult + 1):
@@ -267,8 +276,10 @@ def biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
             continue
         evs = (mu,) if mu in (1, -1) else (mu, 1 / mu)
         seen.update(evs)
-        # the last power of the chain has the root space as its kernel
-        basis = [v for ev in evs for v in kernel_basis(_kernel_chain(kappa, ev, mults[ev])[1])]
+        # the chain reaches the multiplicity within that many powers, and
+        # the power it reaches it at has the root space as its kernel
+        basis = [v for ev in evs for v in kernel_basis(
+            next(power for dim, power in _kernel_chain(kappa, ev) if dim >= mults[ev]))]
         groups.append((evs, basis))
     # one product B^t G B over all root-space bases: its diagonal blocks are
     # the restricted Grams, every block off the diagonal must vanish

@@ -105,10 +105,12 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-# Largest -n of `k0 gram` and `k0 classify`.  Classifying grows about as N^6:
-# in the twists basis -n 24 takes 0.35 s, -n 32 2.1 s and -n 40 8.8 s
-# (2-vCPU Xeon, Python 3.11).
-K0_MAX_N = 32
+# Largest -n of `k0 gram` and `k0 classify`, from the table of
+# scripts/k0_rate.py in BENCH_10.json.  The adams basis is the slowest to
+# classify, its kappa solve over Q most of it: -n 32 takes 0.47 s, -n 36
+# 0.99 s and -n 40 1.8 s; the twists basis takes 0.30 s at -n 36 (2-vCPU Xeon,
+# Python 3.11).
+K0_MAX_N = 36
 
 
 def _k0_gram(args):

@@ -14,7 +14,7 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import SonCollection, _mutate_gram, is_semiorthonormal, mutate_pair
+from .mutations import SonCollection, _mutate_gram, _unitriangular, is_semiorthonormal, mutate_pair
 
 
 class NotMarkov(ValueError):
@@ -151,18 +151,19 @@ def realize_trace(trace: ReductionTrace) -> bool:
     semiorthonormal and its Gram must hit every recorded waypoint.
     """
     c = SonCollection.standard_basis(trace.start.lattice())
+    g = c.gram()
     for move in trace.moves:
         for token in move.word.split():
             if token.startswith("F"):
                 c = c.flip_sign(int(token[1:]))
             else:
                 c = mutate_pair(c, int(token[1:]), token[0])
-        if not is_semiorthonormal(c):
-            return False
+        # one Gram per move, read for both the test and the waypoint
         g = c.gram()
+        if not _unitriangular(g.entries):
+            return False
         if (g[0, 1], g[0, 2], g[1, 2]) != move.triple_after.as_tuple():
             return False
-    g = c.gram()
     return (g[0, 1], g[0, 2], g[1, 2]) == trace.end.as_tuple()
 
 

@@ -83,6 +83,22 @@ def test_tracer_counts_root_candidates(monkeypatch, capsys):
     assert t.counters["roots.candidates"] == 5
 
 
+def test_k0_classify_ranks_one_power(monkeypatch, capsys):
+    # kappa on K0(P^8) is one Jordan block at 1: dim ker(kappa - 1) = 1 gives
+    # the whole partition, with no power of kappa - 1 taken
+    monkeypatch.syspath_prepend(str(BENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        assert semiortho.cli.main(["k0", "classify", "-n", "8", "--basis", "twists"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.calls["classification._jordan_partition"] == 1
+    assert t.calls["exact_linalg.rank_over_q"] == 1
+    assert t.calls["exact_linalg.IntMatrix.mul"] == 0
+
+
 def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     # the orbit search calls both kernels through their module names once per
     # attempted mutation, which new_state_ratio is built from

@@ -36,7 +36,15 @@ from semiortho.bilinear_form import (
     OperatorOnLattice,
     canonical_operator,
 )
-from semiortho.exact_linalg import RatMatrix, char_poly_rat, kernel_basis, nilpotency_index
+from semiortho.exact_linalg import (
+    IntMatrix,
+    RatMatrix,
+    char_poly_rat,
+    clear_denominators,
+    kernel_basis,
+    nilpotency_index,
+    rank_over_q,
+)
 from semiortho.k0_pn import DSeries, gram_matrix
 
 from conftest import (
@@ -280,6 +288,68 @@ def _jordan_cases(rng):
     for n in range(1, 8):
         for _ in range(6):
             yield random_son_gram(rng, n, bound=rng.choice((1, 2, 4))).to_rat()
+    # one chain still growing after two powers: {5, 1} at 1, {3, 1} at 2 and 1/2
+    yield _congruent(rng, _direct_sum(t1(4), t1(0)))
+    yield _congruent(rng, _direct_sum(t2(3, 2), t2(1, 2)))
+
+
+def full_chain_jordan_partition(m, mu: Fraction, mult: int) -> Counter:
+    """The integer _jordan_partition before its early stop, kept as its reference.
+
+    Ranks every power of c q m - c p I until the kernel reaches the multiplicity.
+    """
+    n = m.rows
+    c, cm = clear_denominators(m)
+    p, q = mu.numerator, mu.denominator
+    shifted = IntMatrix(tuple(tuple(q * a - (c * p if i == j else 0) for j, a in enumerate(r))
+                              for i, r in enumerate(cm.entries)))
+    power = shifted
+    kdims = [0, n - rank_over_q(power)]
+    while kdims[-1] < mult and len(kdims) <= mult:
+        power = power * shifted
+        kdims.append(n - rank_over_q(power))
+    kdims += [kdims[-1]] * (mult + 1 - len(kdims))
+    at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)] + [0]
+    return Counter({k: at_least[k - 1] - at_least[k] for k in range(1, mult + 1)
+                    if at_least[k - 1] != at_least[k]})
+
+
+def test_early_stop_matches_full_chain_reference():
+    rng = random.Random(59)
+    checked = 0
+    for gram in _jordan_cases(rng):
+        kappa = kappa_of_gram(gram)
+        for mu, mult in rational_roots(char_poly_rat(kappa))[0]:
+            assert _jordan_partition(kappa, mu, mult) == full_chain_jordan_partition(kappa, mu, mult)
+            checked += 1
+    assert checked > 100
+
+
+def test_jordan_partition_stops_once_one_chain_grows(monkeypatch):
+    ranks = []
+
+    def counted_rank(m):
+        ranks.append(m.rows)
+        return rank_over_q(m)
+
+    monkeypatch.setattr(classification, "rank_over_q", counted_rank)
+    rng = random.Random(61)
+    t1, t2 = standard_type1_gram, standard_type2_gram
+    three_one = Counter({3: 1, 1: 1})
+    cases = [(_congruent(rng, _direct_sum(t1(4), t1(0))), {1: Counter({5: 1, 1: 1})}),
+             (_congruent(rng, _direct_sum(t2(3, 2), t2(1, 2))),
+              {2: three_one, Fraction(1, 2): three_one}),
+             (gram_matrix(8, "twists"), {1: Counter({9: 1})})]
+    for gram, expected in cases:
+        kappa = kappa_of_gram(gram)
+        roots = rational_roots(char_poly_rat(kappa))[0]
+        assert {mu for mu, _ in roots} == set(expected)
+        for mu, mult in roots:
+            ranks.clear()
+            assert _jordan_partition(kappa, mu, mult) == expected[mu]
+            # two chains at k = 1, one at k = 2; a single block needs one rank
+            assert len(ranks) == (1 if len(expected[mu]) == 1 else 2)
+            assert full_chain_jordan_partition(kappa, mu, mult) == expected[mu]
 
 
 def test_integer_jordan_partition_matches_fraction_reference():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiortho.bilinear_form import canonical_operator
+from semiortho import markov
+from semiortho.bilinear_form import BilinearLattice, canonical_operator
 from semiortho.markov import (
     MarkovTriple,
     NotMarkov,
@@ -24,6 +25,7 @@ from semiortho.markov import (
     trace_kappa_rank3,
     vieta,
 )
+from semiortho.mutations import SonCollection, mutate_pair
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -129,6 +131,34 @@ def test_replay_rejects_tampered_trace():
     bad = ReductionTrace(tr.start, tr.moves, MarkovTriple(3, 3, 6))
     assert not replay_trace(bad)
     assert not realize_trace(bad)
+
+
+def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(monkeypatch):
+    tr = reduce_to_canonical(MarkovTriple(3, 6, 15))
+    calls = []
+
+    def counted(c, nu, d):
+        calls.append(nu)
+        return mutate_pair(c, nu, d)
+
+    monkeypatch.setattr(markov, "mutate_pair", counted)
+    assert realize_trace(tr)
+    last = len(calls)
+    calls.clear()
+
+    def broken(c, nu, d):
+        out = counted(c, nu, d)
+        if len(calls) < last:
+            return out
+        # the last move: the same entries above the diagonal, so the waypoint
+        # and the end still match, but chi(e0, e0) = -1
+        rows = [list(r) for r in out.gram().entries]
+        rows[0][0] = -1
+        return SonCollection.standard_basis(BilinearLattice.from_rows(rows))
+
+    monkeypatch.setattr(markov, "mutate_pair", broken)
+    assert not realize_trace(tr)
+    assert len(calls) == last
 
 
 def test_classify_rank3():
