@@ -1,19 +1,24 @@
-"""Classification time of K0(P^n), in seconds, for the limit `cli.K0_MAX_N`.
+"""Seconds per `k0` command on K0(P^n), for the limits `cli.K0_CLASSIFY_MAX_N` and `cli.K0_MAX_N`.
 
     python3 scripts/k0_rate.py [--src LABEL=DIR ...] [--out FILE]
 
-For each n in NS and each basis in BASES the script times
-`detect_type_gram(gram_matrix(n, basis))`, which is what `k0 classify -n N`
-runs, and takes the sha256 of the report's deterministic JSON encoding.  The
-digests must be equal across trees and repeats, or the script exits 1.
+The script times what each command runs and takes the sha256 of the
+deterministic JSON it prints:
 
-Each `--src` names a `src/` directory holding the `semiortho` package (the
-default is this checkout's).  Each of 3 repeats runs each tree in a fresh
-subprocess, the order alternating between repeats, and the table gives the
-median seconds per tree, n and basis.  The suggested limit is the largest n
-whose slowest basis stays within BUDGET_S seconds on the last tree: about
-1 s, with room for a host a quarter slower.  `--out` merges the table into a
-JSON file under the key "k0_rate", keeping its other keys.
+- `classify`: `_report(kappa_matrix(n))`, for n in the classify NS.  The
+  command does the same work in every basis, so there is one column.
+- `gram`: `gram_matrix(n, basis)`, for n in the gram NS and each basis in
+  BASES; the adams one includes its sigma-formula cross-check.
+
+The digests must be equal across trees and repeats, or the script exits 1.
+Each `--src` names a `src/` directory holding a `semiortho` package that has
+`k0_pn.kappa_matrix` (the default is this checkout's).  Each of 3 repeats
+runs each tree in a fresh subprocess, the order alternating between repeats,
+and the table gives the median seconds per tree, command, column and n.  The
+suggested limit of a command is the largest n whose slowest column stays
+within BUDGET_S seconds on the last tree: about 1 s, with room for a host a
+quarter slower.  `--out` merges the tables into a JSON file under the key
+"k0_rate", keeping its other keys.
 """
 
 from __future__ import annotations
@@ -28,31 +33,39 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-NS = (24, 32, 36, 40, 48)
-BASES = ("twists", "binomial", "adams")
+# command -> (NS, columns)
+TABLES = {"classify": ((32, 64, 96, 128, 144, 160), ("kappa",)),
+          "gram": ((24, 32, 36, 40, 48), ("twists", "binomial", "adams"))}
 REPEATS = 3
 BUDGET_S = 1.25
 
 
-def measure() -> dict[str, dict[str, list]]:
-    """[seconds, report digest] per basis and n for the `semiortho` on sys.path."""
+def measure() -> dict:
+    """[seconds, output digest] per command, column and n for the `semiortho` on sys.path."""
     from semiortho import serialize
-    from semiortho.classification import detect_type_gram
-    from semiortho.k0_pn import gram_matrix
+    from semiortho.classification import _report
+    from semiortho.k0_pn import gram_matrix, kappa_matrix
 
-    out: dict[str, dict[str, list]] = {}
-    for basis in BASES:
-        for n in NS:
-            start = perf_counter()
-            report = detect_type_gram(gram_matrix(n, basis))
-            seconds = perf_counter() - start
-            text = serialize.dumps(serialize.encode_report(report))
-            out.setdefault(basis, {})[str(n)] = [seconds,
-                                                 hashlib.sha256(text.encode()).hexdigest()]
+    def classify(n, _):
+        return serialize.encode_report(_report(kappa_matrix(n)))
+
+    def gram(n, basis):
+        return serialize.encode_matrix(gram_matrix(n, basis))
+
+    out: dict = {}
+    for command, run in (("classify", classify), ("gram", gram)):
+        ns, columns = TABLES[command]
+        for column in columns:
+            for n in ns:
+                start = perf_counter()
+                encoded = run(n, column)
+                seconds = perf_counter() - start
+                digest = hashlib.sha256(serialize.dumps(encoded).encode()).hexdigest()
+                out.setdefault(command, {}).setdefault(column, {})[str(n)] = [seconds, digest]
     return out
 
 
-def run_tree(src: Path) -> dict[str, dict[str, list]]:
+def run_tree(src: Path) -> dict:
     out = subprocess.run([sys.executable, __file__, "--child", str(src)],
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
@@ -84,29 +97,33 @@ def main(argv=None) -> int:
     for r in range(REPEATS):
         for label, src in trees if r % 2 == 0 else trees[::-1]:
             runs[label].append(run_tree(src))
-    digests = {basis: {str(n): sorted({run[basis][str(n)][1] for rs in runs.values() for run in rs})
-                       for n in NS} for basis in BASES}
-    equal = all(len(d) == 1 for by_n in digests.values() for d in by_n.values())
-    seconds = {label: {basis: {str(n): round(statistics.median(run[basis][str(n)][0] for run in rs), 4)
-                               for n in NS} for basis in BASES} for label, rs in runs.items()}
-    slowest = {label: {str(n): max(BASES, key=lambda b: by_basis[b][str(n)]) for n in NS}
-               for label, by_basis in seconds.items()}
     last = trees[-1][0]
-    within = [n for n in NS if seconds[last][slowest[last][str(n)]][str(n)] <= BUDGET_S]
-    limit = max(within, default=None)
-    print("   n" + "".join(f"{label + ' ' + basis:>22}" for label in seconds for basis in BASES)
-          + "   (s, median)")
-    for n in NS:
-        print(f"{n:>4}" + "".join(f"{seconds[label][basis][str(n)]:>22.3f}"
-                                 for label in seconds for basis in BASES))
-    print(f"digests equal across trees: {equal}; largest n within {BUDGET_S} s on {last}: {limit}")
+    equal, result = True, {}
+    for command, (ns, columns) in TABLES.items():
+        digests = {col: {str(n): sorted({run[command][col][str(n)][1]
+                                         for rs in runs.values() for run in rs})
+                         for n in ns} for col in columns}
+        equal &= all(len(d) == 1 for by_n in digests.values() for d in by_n.values())
+        seconds = {label: {col: {str(n): round(statistics.median(
+            run[command][col][str(n)][0] for run in rs), 4) for n in ns} for col in columns}
+            for label, rs in runs.items()}
+        slowest = {str(n): max(columns, key=lambda c: seconds[last][c][str(n)]) for n in ns}
+        within = [n for n in ns if seconds[last][slowest[str(n)]][str(n)] <= BUDGET_S]
+        limit = max(within, default=None)
+        print(f"k0 {command}\n   n" + "".join(f"{label + ' ' + col:>22}" for label in seconds
+                                           for col in columns) + "   (s, median)")
+        for n in ns:
+            print(f"{n:>4}" + "".join(f"{seconds[label][col][str(n)]:>22.3f}"
+                                     for label in seconds for col in columns))
+        print(f"largest n within {BUDGET_S} s on {last}: {limit}")
+        result[command] = {"ns": list(ns), "columns": list(columns), "digests": digests,
+                           "seconds": seconds, "slowest_column": slowest,
+                           "largest_n_within_budget": {"tree": last, "n": limit}}
+    print(f"digests equal across trees: {equal}")
     if args.out is not None:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["k0_rate"] = {"ns": list(NS), "bases": list(BASES), "repeats": REPEATS,
-                           "python": sys.version.split()[0], "budget_s": BUDGET_S,
-                           "digests_equal": equal, "digests": digests,
-                           "seconds": seconds, "slowest_basis": slowest,
-                           "largest_n_within_budget": {"tree": last, "n": limit}}
+        data["k0_rate"] = {"repeats": REPEATS, "python": sys.version.split()[0],
+                           "budget_s": BUDGET_S, "digests_equal": equal, **result}
         args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0 if equal else 1
 

@@ -22,15 +22,19 @@ from .bilinear_form import (
     is_isometry,
     verify_canmatr,
 )
-from .classification import detect_type, detect_type_gram
+# detect_type_gram is unused here, but bench/tests checks that the tracer
+# replaces this copy of it
+from .classification import _report, detect_type, detect_type_gram  # noqa: F401
 from .exact_linalg import IntMatrix
 from .k0_pn import (
     DSeries,
     check_truncation,
     gram_matrix,
     hilbert_pairing,
+    kappa_matrix,
     rank,
     sigma_pairing,
+    xi_basis,
 )
 from .markov import (
     MarkovTriple,
@@ -47,6 +51,7 @@ from .mutations import (
     SonCollection,
     apply_braid,
     is_semiorthonormal,
+    is_unitriangular,
     orbit_search,
 )
 from .serialize import InputFormatError
@@ -105,25 +110,30 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-# Largest -n of `k0 gram` and `k0 classify`, from the table of
-# scripts/k0_rate.py in BENCH_10.json.  The adams basis is the slowest to
-# classify, its kappa solve over Q most of it: -n 32 takes 0.47 s, -n 36
-# 0.99 s and -n 40 1.8 s; the twists basis takes 0.30 s at -n 36 (2-vCPU Xeon,
-# Python 3.11).
+# Largest -n of `k0 gram`, kept at 36 so that `k0 gram` accepts the same -n
+# as before; its Gram takes 0.13 s at -n 48 in the slowest basis (table of
+# scripts/k0_rate.py in BENCH_11.json), so the limit can rise once re-measured.
 K0_MAX_N = 36
 
+# Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
+# BENCH_11.json: classifying the integer kappa takes 0.86 s at -n 128 and
+# 1.33 s at -n 144, nearly all of it the one rank of kappa - (-1)^n (2-vCPU
+# Xeon, Python 3.11).
+K0_CLASSIFY_MAX_N = 128
 
-def _k0_gram(args):
-    if args.n > K0_MAX_N:
-        raise InputFormatError(f"-n {args.n} is above the limit of {K0_MAX_N}")
-    try:
-        return gram_matrix(args.n, _BASIS_MAP[args.basis])
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+
+def _check_k0_limit(n: int, limit: int):
+    if n > limit:
+        raise InputFormatError(f"-n {n} is above the limit of {limit}")
 
 
 def cmd_k0_gram(args) -> int:
-    _emit(args, serialize.encode_matrix(_k0_gram(args)))
+    _check_k0_limit(args.n, K0_MAX_N)
+    try:
+        gram = gram_matrix(args.n, _BASIS_MAP[args.basis])
+    except ValueError as e:
+        raise InputFormatError(str(e)) from None
+    _emit(args, serialize.encode_matrix(gram))
     return 0
 
 
@@ -144,7 +154,17 @@ def cmd_k0_rank(args) -> int:
 
 
 def cmd_k0_classify(args) -> int:
-    _emit(args, serialize.encode_report(detect_type_gram(_k0_gram(args))))
+    # the report is a similarity invariant of kappa, the same in every basis,
+    # so it is read off the integer kappa of the Adams basis; a basis only
+    # has to exist at this n
+    _check_k0_limit(args.n, K0_CLASSIFY_MAX_N)
+    try:
+        kappa = kappa_matrix(args.n)
+        if args.basis == "xi":
+            xi_basis(args.n)
+    except ValueError as e:
+        raise InputFormatError(str(e)) from None
+    _emit(args, serialize.encode_report(_report(kappa)))
     return 0
 
 
@@ -168,11 +188,14 @@ def cmd_markov(args) -> int:
 
 def cmd_orbit(args) -> int:
     c = serialize.decode_collection(serialize.loads(_read_input(args)))
-    if not is_semiorthonormal(c):
+    # one Gram, tested here so that this error comes before those of the
+    # bounds, then passed to orbit_search
+    gram = c.gram()
+    if not is_unitriangular(gram):
         raise InputFormatError("collection is not semiorthonormal")
     max_nodes = args.max_nodes if args.max_nodes is not None else _max_nodes_default()
     try:
-        report = orbit_search(c, args.height_bound, max_nodes)
+        report = orbit_search(c, args.height_bound, max_nodes, gram)
     except ValueError as e:
         raise InputFormatError(str(e)) from None
     _emit(args, serialize.encode_orbit_report(report))

@@ -356,16 +356,35 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial.from_coeffs(_berkowitz(m))
 
 
+def _is_triangular(m: _Matrix) -> bool:
+    """Square, with zeros everywhere above or everywhere below the diagonal."""
+    a = m.entries
+    return m.is_square and (not any(x for i, r in enumerate(a) for x in r[i + 1:])
+                            or not any(x for i, r in enumerate(a) for x in r[:i]))
+
+
+def _linear_factors(roots: Iterable) -> list:
+    """Coefficients of the product of (x - r) over the roots, lowest degree first."""
+    poly = [1]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
 def char_poly_rat(m: _Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial of an integer or rational matrix, as Fractions.
 
     Returns coefficients lowest degree first; leading coefficient is 1.
     With c the common denominator, det(xI - m) = det(cxI - cm) / c^n, so the
     integer char poly of cm gives coefficient k of this one over c^(n-k).
+    A triangular cm has char poly prod (x - cm_ii); any other goes through
+    Berkowitz.
     """
     c, cm = clear_denominators(m)
     n = m.rows
-    return tuple(Fraction(b, c ** (n - k)) for k, b in enumerate(_berkowitz(cm)))
+    ints = (_linear_factors(cm[i, i] for i in range(n)) if _is_triangular(cm)
+            else _berkowitz(cm))
+    return tuple(Fraction(b, c ** (n - k)) for k, b in enumerate(ints))
 
 
 def nilpotency_index(m: RatMatrix) -> int | None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact_linalg import RatMatrix, ShapeError, exact_int, mul_trunc
+from .exact_linalg import IntMatrix, RatMatrix, ShapeError, exact_int, mul_trunc
 
 
 def _check_order(n: int):
@@ -284,6 +284,22 @@ def sigma_pairing(n: int, a_coords, b_coords) -> Fraction:
 def kappa_pn(n: int) -> DSeries:
     """Canonical operator: (-1)^n e^(-(n+1)D), i.e. f(t) -> (-1)^n f(t-n-1)."""
     return DSeries.exp(n, -(n + 1)).scale((-1) ** n)
+
+
+def kappa_matrix(n: int) -> IntMatrix:
+    """The integer matrix of kappa_pn(n) over the Adams basis D^k / k!.
+
+    e^(cD) D^j / j! = sum over i >= j of C(i, j) c^(i-j) D^i / i!, so with
+    c = -(n+1) column j holds (-1)^n C(i, j) (-(n+1))^(i-j) in each row
+    i >= j: lower triangular, the diagonal all (-1)^n.  It equals
+    kappa_of_gram(gram_matrix(n, "adams")) without a Gram or a solve, and
+    every basis of K0(P^n) gives a similar matrix, so its char poly and
+    Jordan type are those of the form in any basis.
+    """
+    _check_order(n)
+    eps, c = (-1) ** n, -(n + 1)
+    return IntMatrix(tuple(tuple(eps * comb(i, j) * c ** (i - j) if j <= i else 0
+                                 for j in range(n + 1)) for i in range(n + 1)))
 
 
 def eta_pn(n: int) -> DSeries:

@@ -14,7 +14,7 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import SonCollection, _mutate_gram, _unitriangular, is_semiorthonormal, mutate_pair
+from .mutations import SonCollection, _mutate_gram, is_semiorthonormal, is_unitriangular, mutate_pair
 
 
 class NotMarkov(ValueError):
@@ -160,7 +160,7 @@ def realize_trace(trace: ReductionTrace) -> bool:
                 c = mutate_pair(c, int(token[1:]), token[0])
         # one Gram per move, read for both the test and the waypoint
         g = c.gram()
-        if not _unitriangular(g.entries):
+        if not is_unitriangular(g):
             return False
         if (g[0, 1], g[0, 2], g[1, 2]) != move.triple_after.as_tuple():
             return False

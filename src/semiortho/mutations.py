@@ -44,15 +44,30 @@ class SonCollection:
     """Ordered vectors in an ambient lattice, semiorthonormal by contract.
 
     The collection need not span the ambient lattice; the ambient form stays
-    fixed while mutations rewrite the vectors.
+    fixed while mutations rewrite the vectors.  Construction checks that each
+    vector is integral and of the ambient rank, and stores it as a tuple of
+    ints.
     """
 
     ambient: BilinearLattice
     vectors: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # a non-integral entry raises ValueError, a vector of the wrong length ShapeError
+        object.__setattr__(self, "vectors",
+                           tuple(_ambient_vector(self.ambient, v) for v in self.vectors))
+
+    def _derived(self, vectors: tuple[tuple[int, ...], ...]) -> "SonCollection":
+        # integer combinations of this collection's vectors are valid already,
+        # so mutations and sign flips skip the check of __post_init__
+        c = object.__new__(SonCollection)
+        object.__setattr__(c, "ambient", self.ambient)
+        object.__setattr__(c, "vectors", vectors)
+        return c
+
     @staticmethod
     def from_vectors(ambient: BilinearLattice, vectors) -> "SonCollection":
-        return SonCollection(ambient, tuple(_ambient_vector(ambient, v) for v in vectors))
+        return SonCollection(ambient, tuple(vectors))
 
     @staticmethod
     def standard_basis(ambient: BilinearLattice) -> "SonCollection":
@@ -68,15 +83,17 @@ class SonCollection:
     def flip_sign(self, i: int) -> "SonCollection":
         vs = list(self.vectors)
         vs[i] = tuple(-x for x in vs[i])
-        return SonCollection(self.ambient, tuple(vs))
+        return self._derived(tuple(vs))
 
 
 def is_semiorthonormal(c: SonCollection) -> bool:
-    return _unitriangular(c.gram().entries)
+    return is_unitriangular(c.gram())
 
 
-def _unitriangular(rows) -> bool:
-    return all(x == int(i == j) for i, row in enumerate(rows) for j, x in enumerate(row[:i + 1]))
+def is_unitriangular(gram: IntMatrix) -> bool:
+    """Units on the diagonal and zeros below it: the Gram of a semiorthonormal collection."""
+    return all(x == int(i == j) for i, row in enumerate(gram.entries)
+               for j, x in enumerate(row[:i + 1]))
 
 
 @dataclass(frozen=True)
@@ -164,7 +181,7 @@ def mutate_pair(c: SonCollection, nu: int, direction: Direction) -> SonCollectio
         raise ValueError(f"unknown direction {direction!r}")
     vs = list(c.vectors)
     vs[nu - 1], vs[nu] = new
-    return SonCollection(c.ambient, tuple(vs))
+    return c._derived(tuple(vs))
 
 
 @dataclass(frozen=True)
@@ -256,19 +273,25 @@ class OrbitReport:
         return bool(self.truncated_by)
 
 
-def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitReport:
+def orbit_search(c: SonCollection, height_bound: int, max_nodes: int,
+                 gram: IntMatrix | None = None) -> OrbitReport:
     """BFS over mutations modulo the sign action on basis vectors.
 
     States are the flat strict upper triangles of the collection's Gram,
     canonicalized to the lex-least representative over sign flips.  A state
     whose height, max |Gram entry| with the unit diagonal, exceeds the bound
     is not expanded; hitting either bound flags the report as truncated.
+    `gram`, when given, must equal c.gram(): a caller that has built it
+    already passes it instead of having it built again.  It is tested for
+    unitriangularity like a Gram built here, but not compared with c.
     """
     if height_bound < 0 or max_nodes <= 0:
         raise ValueError("height bound must be >= 0 and node cap >= 1")
-    g = c.gram().entries
-    if not _unitriangular(g):
+    if gram is None:
+        gram = c.gram()
+    if not is_unitriangular(gram):
         raise ValueError("collection is not semiorthonormal")
+    g = gram.entries
     n = len(c)
     pairs = _layout(n)[0]
     target = n == 3 and _sign_canonical(tuple(MARKOV_CANONICAL_GRAM[i][j] for i, j in pairs), 3)

@@ -99,6 +99,25 @@ def test_k0_classify_ranks_one_power(monkeypatch, capsys):
     assert t.calls["exact_linalg.IntMatrix.mul"] == 0
 
 
+def test_k0_classify_builds_no_gram(monkeypatch, capsys):
+    # every basis classifies the integer kappa of k0_pn.kappa_matrix: no Gram,
+    # no solve, no rational product, one char poly
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracer")
+    for basis in ("twists", "adams", "binomial"):
+        t = tracing.Tracer()
+        t.install()
+        try:
+            assert semiortho.cli.main(["k0", "classify", "-n", "8", "--basis", basis]) == 0
+        finally:
+            t.uninstall()
+        capsys.readouterr()
+        assert t.calls["k0_pn.gram_matrix"] == 0, basis
+        assert t.calls["classification.kappa_of_gram"] == 0, basis
+        assert t.calls["exact_linalg.RatMatrix.mul"] == 0, basis
+        assert t.calls["exact_linalg.char_poly_rat"] == 1, basis
+
+
 def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     # the orbit search calls both kernels through their module names once per
     # attempted mutation, which new_state_ratio is built from
@@ -117,5 +136,6 @@ def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     assert t.counters["orbit.attempts"] == 200
     assert t.calls["mutations._mutate_gram"] == 200
     assert t.calls["mutations._sign_canonical"] == 202  # plus the start and the Markov target
+    assert t.calls["mutations.SonCollection.gram"] == 1  # tested once, searched from once
     assert t.counters["mutations.orbit_search.nodes"] == 50
     assert t.counters["orbit.new_states"] == 49

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from semiortho import serialize
 from semiortho.bilinear_form import BilinearLattice
-from semiortho.cli import K0_MAX_N, main
+from semiortho.cli import K0_CLASSIFY_MAX_N, K0_MAX_N, main
 from semiortho.exact_linalg import IntMatrix, RatMatrix
 from semiortho.markov import MarkovTriple, reduce_to_canonical
 from semiortho.mutations import SonCollection
@@ -221,13 +221,44 @@ def test_cli_determinant_too_long_to_print(capsys):
 
 
 def test_cli_k0_size_limit(capsys):
-    for n in (K0_MAX_N + 1, 10 ** 9):
-        for cmd in ("gram", "classify"):
+    for cmd, limit in (("gram", K0_MAX_N), ("classify", K0_CLASSIFY_MAX_N)):
+        for n in (limit + 1, 10 ** 9):
             code, out, err = run(capsys, "k0", cmd, "-n", str(n))
             assert (code, out) == (1, "")
-            assert err == f"error: -n {n} is above the limit of {K0_MAX_N}\n"
+            assert err == f"error: -n {n} is above the limit of {limit}\n"
     code, out, _ = run(capsys, "k0", "gram", "-n", str(K0_MAX_N), "--basis", "twists")
     assert code == 0 and len(json.loads(out)) == K0_MAX_N + 1
+    # classify reaches past the Gram's limit, in every basis that exists there
+    for basis in ("twists", "adams", "binomial"):
+        code, out, _ = run(capsys, "k0", "classify", "-n", str(K0_MAX_N + 1), "--basis", basis)
+        assert code == 0
+        assert json.loads(out)["verdict"] == {"type": "type1", "n": K0_MAX_N + 1, "epsilon": -1}
+
+
+def test_cli_k0_classify_error_order(capsys):
+    # the sign of -n, then the limit, then the basis: xi exists only at n = 2
+    xi = "error: xi basis is implemented only for n = 2"
+    for n, message in ((-1, "error: truncation order n must be >= 0, got -1\n"),
+                       (K0_CLASSIFY_MAX_N + 1,
+                        f"error: -n {K0_CLASSIFY_MAX_N + 1} is above the limit of "
+                        f"{K0_CLASSIFY_MAX_N}\n"),
+                       (3, xi), (K0_MAX_N + 1, xi)):
+        code, out, err = run(capsys, "k0", "classify", "-n", str(n), "--basis", "xi")
+        assert (code, out) == (1, "") and err.startswith(message), n
+    code, out, _ = run(capsys, "k0", "classify", "-n", "2", "--basis", "xi")
+    assert code == 0 and json.loads(out)["verdict"] == {"type": "type1", "n": 2, "epsilon": 1}
+
+
+def test_cli_orbit_semiorthonormal_error_comes_first(capsys, monkeypatch):
+    # <e1, e0> = 2: not semiorthonormal, and that error wins over bad bounds
+    bad = '{"ambient":{"gram":[[1,0],[2,1]]},"vectors":[[1,0],[0,1]]}'
+    expected = (1, "", "error: collection is not semiorthonormal\n")
+    for flags in (("--height-bound", "-1"), ("--max-nodes", "0"),
+                  ("--height-bound", "-1", "--max-nodes", "0")):
+        assert run(capsys, "orbit", "--inline", bad, *flags) == expected, flags
+    for env in ("zzz", "0", "-3"):
+        monkeypatch.setenv("SEMIORTHO_MAX_NODES", env)
+        assert run(capsys, "orbit", "--inline", bad) == expected, env
 
 
 def test_cli_k0_rank_does_not_pad_the_series(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiortho import exact_linalg
 from semiortho.exact_linalg import (
     IntMatrix,
     IntPolynomial,
@@ -479,3 +480,35 @@ def test_char_poly_rat_with_mixed_row_denominators():
         assert cp == faddeev_leverrier(m)
     c, cm = clear_denominators(RatMatrix.from_rows([[Fraction(1, 6), 2], [Fraction(3, 4), 0]]))
     assert (c, cm) == (12, IntMatrix.from_rows([[2, 24], [9, 0]]))
+
+
+def test_char_poly_rat_triangular_path_matches_berkowitz(monkeypatch):
+    # prod (x - a_ii) for an upper, lower or diagonal matrix, with no Berkowitz
+    # call; Berkowitz, counted through the module, stays the oracle
+    berkowitz = exact_linalg._berkowitz
+    calls = []
+    monkeypatch.setattr(exact_linalg, "_berkowitz", lambda m: calls.append(m) or berkowitz(m))
+
+    def oracle(m):
+        c, cm = clear_denominators(m)
+        return tuple(Fraction(b, c ** (m.rows - k)) for k, b in enumerate(berkowitz(cm)))
+
+    rng = random.Random(59)
+    entries = {IntMatrix: lambda: rng.randint(-9, 9),
+               RatMatrix: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))}
+    keep = {"upper": lambda i, j: i <= j, "lower": lambda i, j: i >= j,
+            "diagonal": lambda i, j: i == j}
+    for cls, entry in entries.items():
+        for shape, kept in keep.items():
+            for n in range(7):
+                m = cls.from_rows([[entry() if kept(i, j) else 0 for j in range(n)]
+                                   for i in range(n)])
+                cp = char_poly_rat(m)
+                assert all(type(c) is Fraction for c in cp)
+                assert cp == oracle(m), (cls, shape, n)
+                assert not calls, (cls, shape, n)
+    # one nonzero entry on each side of the diagonal: Berkowitz
+    full = RatMatrix.from_rows([[1, Fraction(1, 2), 0], [0, 2, 0], [3, 0, 5]])
+    assert char_poly_rat(full) == oracle(full) and len(calls) == 1
+    with pytest.raises(ShapeError):
+        char_poly_rat(IntMatrix.from_rows([[1, 2, 3], [0, 4, 5]]))

@@ -6,8 +6,14 @@ from math import comb, factorial
 
 import pytest
 
-from semiortho.classification import Type1, detect_type_gram, standard_type1_gram
-from semiortho.exact_linalg import RatMatrix, mul_trunc
+from semiortho.classification import (
+    Type1,
+    _report,
+    detect_type_gram,
+    kappa_of_gram,
+    standard_type1_gram,
+)
+from semiortho.exact_linalg import IntMatrix, RatMatrix, mul_trunc
 from semiortho.k0_pn import (
     DSeries,
     NumPoly,
@@ -19,6 +25,7 @@ from semiortho.k0_pn import (
     gram_matrix,
     hilbert_pairing,
     integrality_test,
+    kappa_matrix,
     kappa_pn,
     nabla,
     rank,
@@ -321,3 +328,23 @@ def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
             gram_matrix(n, "adams")
         monkeypatch.setattr(k0_pn, "sigma_pairing", real)
         assert gram_matrix(n, "adams") == gram_matrix(n, "adams")
+
+
+def test_kappa_matrix_is_kappa_of_the_adams_gram():
+    for n in range(13):
+        k = kappa_matrix(n)
+        assert type(k) is IntMatrix
+        assert k.entries == kappa_of_gram(gram_matrix(n, "adams")).entries
+        # the series kappa_pn(n) acting on the Adams coordinates D^k / k!
+        coords = kappa_pn(n).adams_coords()
+        assert [row[0] for row in k.entries] == list(coords)
+    with pytest.raises(ValueError, match=">= 0"):
+        kappa_matrix(-1)
+
+
+def test_kappa_matrix_report_is_the_gram_report_in_every_basis():
+    for n in range(13):
+        report = _report(kappa_matrix(n))
+        assert report.verdict == Type1(n, (-1) ** n)
+        for basis in ("twists", "binomial", "adams") + (("standard_xi",) if n == 2 else ()):
+            assert report == detect_type_gram(gram_matrix(n, basis)), (n, basis)

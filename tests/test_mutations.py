@@ -79,6 +79,13 @@ def test_admissible_submodule_validation():
     with pytest.raises(ValueError, match="integer"):
         SonCollection.from_vectors(lat, [(1.5, 0)])
     assert SonCollection.from_vectors(lat, [(Fraction(2, 2), 0)]).vectors == ((1, 0),)
+    # the constructor itself checks
+    std = BilinearLattice.standard(2)
+    with pytest.raises(ShapeError):
+        SonCollection(std, ((1, 0, 5), (0, 1, 7)))
+    with pytest.raises(ValueError, match="integer"):
+        SonCollection(std, ((1.5, 0), (0, 1)))
+    assert SonCollection(std, [[Fraction(2, 2), 0], (0, 1)]).vectors == ((1, 0), (0, 1))
 
 
 def test_projections_characterized_by_pairings():
@@ -221,6 +228,8 @@ def test_orbit_search_markov_form():
     assert report.reached_markov_canonical
     assert report.truncated  # the orbit is infinite; the bound cuts it
     assert report.orbit_size > 1
+    # a caller that has the Gram already passes it on
+    assert orbit_search(c, height_bound=60, max_nodes=2000, gram=c.gram()) == report
 
 
 def test_orbit_search_trivial_cases():
