@@ -13,29 +13,26 @@ deterministic JSON it prints:
 The digests must be equal across trees and repeats, or the script exits 1.
 Each `--src` names a `src/` directory holding a `semiortho` package that has
 `k0_pn.kappa_matrix` (the default is this checkout's).  Each of 3 repeats
-runs each tree in a fresh subprocess, the order alternating between repeats,
-and the table gives the median seconds per tree, command, column and n.  The
-suggested limit of a command is the largest n whose slowest column stays
-within BUDGET_S seconds on the last tree: about 1 s, with room for a host a
-quarter slower.  `--out` merges the tables into a JSON file under the key
+runs each tree in a fresh subprocess (scripts/_trees.py), and the table
+gives the median seconds per tree, command, column and n.  The suggested
+limit of a command is the largest n whose slowest column stays within
+BUDGET_S seconds on the last tree: about 1 s, with room for a host a quarter
+slower.  `--out` merges the tables into a JSON file under the key
 "k0_rate", keeping its other keys.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import statistics
-import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+import _trees
+
 # command -> (NS, columns)
 TABLES = {"classify": ((32, 64, 96, 128, 144, 160), ("kappa",)),
-          "gram": ((24, 32, 36, 40, 48), ("twists", "binomial", "adams"))}
+          "gram": ((24, 32, 36, 40, 48, 56, 64, 80, 96), ("twists", "binomial", "adams"))}
 REPEATS = 3
 BUDGET_S = 1.25
 
@@ -65,39 +62,9 @@ def measure() -> dict:
     return out
 
 
-def run_tree(src: Path) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--child", str(src)],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
-def parse_src(text: str) -> tuple[str, Path]:
-    label, sep, path = text.partition("=")
-    if not sep or not label:
-        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
-    src = Path(path).resolve()
-    if not (src / "semiortho" / "__init__.py").is_file():
-        raise argparse.ArgumentTypeError(f"no semiortho package under {src}")
-    return label, src
-
-
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--src", type=parse_src, action="append",
-                   help="LABEL=DIR of a src/ tree; repeatable")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child is not None:
-        sys.path.insert(0, str(args.child))
-        print(json.dumps(measure()))
-        return 0
-    trees = args.src or [("checkout", ROOT / "src")]
-    runs: dict[str, list] = {label: [] for label, _ in trees}
-    for r in range(REPEATS):
-        for label, src in trees if r % 2 == 0 else trees[::-1]:
-            runs[label].append(run_tree(src))
-    last = trees[-1][0]
+    runs, out = _trees.collect(__doc__, __file__, measure, REPEATS, argv)
+    last = list(runs)[-1]
     equal, result = True, {}
     for command, (ns, columns) in TABLES.items():
         digests = {col: {str(n): sorted({run[command][col][str(n)][1]
@@ -120,11 +87,8 @@ def main(argv=None) -> int:
                            "seconds": seconds, "slowest_column": slowest,
                            "largest_n_within_budget": {"tree": last, "n": limit}}
     print(f"digests equal across trees: {equal}")
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["k0_rate"] = {"repeats": REPEATS, "python": sys.version.split()[0],
-                           "budget_s": BUDGET_S, "digests_equal": equal, **result}
-        args.out.write_text(json.dumps(data, indent=1) + "\n")
+    _trees.merge_out(out, "k0_rate", {"repeats": REPEATS, "python": sys.version.split()[0],
+                                      "budget_s": BUDGET_S, "digests_equal": equal, **result})
     return 0 if equal else 1
 
 

@@ -11,23 +11,20 @@ than the cap (rank 3 has 10 354 states) stops below the cap.
 
 Each `--src` names a `src/` directory holding the `semiortho` package (the
 default is this checkout's).  Each of 3 repeats runs each tree in a fresh
-subprocess, the order alternating between repeats, and the table gives the
-median rate per tree and rank.  `--out` merges the rates into a JSON file
-under the key "orbit_rate", keeping its other keys.
+subprocess (scripts/_trees.py), and the table gives the median rate per tree
+and rank.  `--out` merges the rates into a JSON file under the key
+"orbit_rate", keeping its other keys.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import subprocess
 import sys
 from math import comb
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+import _trees
+
 RANKS = (3, 4, 5, 6)
 HEIGHT_BOUND = 10**30
 NODES = 20000
@@ -39,7 +36,7 @@ def twist_gram(rank: int) -> list[list[int]]:
             for i in range(rank)]
 
 
-def measure() -> dict[int, list]:
+def measure() -> dict[str, list]:
     """[orbit size, nodes/s] per rank for the `semiortho` on sys.path."""
     from semiortho.bilinear_form import BilinearLattice
     from semiortho.mutations import SonCollection, orbit_search
@@ -50,56 +47,23 @@ def measure() -> dict[int, list]:
         start = perf_counter()
         report = orbit_search(c, HEIGHT_BOUND, NODES)
         seconds = perf_counter() - start
-        rates[rank] = [report.orbit_size, report.orbit_size / seconds]
+        rates[str(rank)] = [report.orbit_size, report.orbit_size / seconds]
     return rates
 
 
-def run_tree(src: Path) -> dict[int, list]:
-    out = subprocess.run([sys.executable, __file__, "--child", str(src)],
-                         check=True, capture_output=True, text=True).stdout
-    return {int(k): v for k, v in json.loads(out).items()}
-
-
-def parse_src(text: str) -> tuple[str, Path]:
-    label, sep, path = text.partition("=")
-    if not sep or not label:
-        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
-    src = Path(path).resolve()
-    if not (src / "semiortho" / "__init__.py").is_file():
-        raise argparse.ArgumentTypeError(f"no semiortho package under {src}")
-    return label, src
-
-
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--src", type=parse_src, action="append",
-                   help="LABEL=DIR of a src/ tree; repeatable")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child is not None:
-        sys.path.insert(0, str(args.child))
-        print(json.dumps(measure()))
-        return 0
-    trees = args.src or [("checkout", ROOT / "src")]
-    runs: dict[str, list[dict[int, list]]] = {label: [] for label, _ in trees}
-    for r in range(REPEATS):
-        for label, src in trees if r % 2 == 0 else trees[::-1]:
-            runs[label].append(run_tree(src))
-    sizes = {str(rank): sorted({run[rank][0] for rs in runs.values() for run in rs})
+    runs, out = _trees.collect(__doc__, __file__, measure, REPEATS, argv)
+    sizes = {str(rank): sorted({run[str(rank)][0] for rs in runs.values() for run in rs})
              for rank in RANKS}
-    rates = {label: {str(rank): round(statistics.median(run[rank][1] for run in rs))
+    rates = {label: {str(rank): round(statistics.median(run[str(rank)][1] for run in rs))
                      for rank in RANKS} for label, rs in runs.items()}
     print("rank   nodes" + "".join(f"{label:>12}" for label in rates) + "   (nodes/s, median)")
     for rank in RANKS:
         print(f"{rank:>4} {'/'.join(map(str, sizes[str(rank)])):>7}"
               + "".join(f"{rates[label][str(rank)]:>12}" for label in rates))
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["orbit_rate"] = {"node_cap": NODES, "height_bound": "10**30",
-                              "repeats": REPEATS, "python": sys.version.split()[0],
-                              "orbit_size": sizes, "nodes_per_s": rates}
-        args.out.write_text(json.dumps(data, indent=1) + "\n")
+    _trees.merge_out(out, "orbit_rate", {"node_cap": NODES, "height_bound": "10**30",
+                                         "repeats": REPEATS, "python": sys.version.split()[0],
+                                         "orbit_size": sizes, "nodes_per_s": rates})
     return 0
 
 

@@ -1,6 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed input, 2 property violation found.
+`main` alone maps exceptions to exit codes: a `ValueError` or `IndexError`
+from the library or the input checks here is malformed input, exit 1 with
+an `error:` line on stderr; an `AssertionError` is a property violation,
+exit 2.  The commands only parse, call the library and encode.
 All output is exact JSON (deterministic byte-for-byte); --output pretty
 switches to indented rendering.
 """
@@ -27,6 +31,7 @@ from .bilinear_form import (
 from .classification import _report, detect_type, detect_type_gram  # noqa: F401
 from .exact_linalg import IntMatrix
 from .k0_pn import (
+    BASES,
     DSeries,
     check_truncation,
     gram_matrix,
@@ -38,8 +43,6 @@ from .k0_pn import (
 )
 from .markov import (
     MarkovTriple,
-    NotMarkov,
-    ZeroTriple,
     is_markov,
     realize_trace,
     reduce_to_canonical,
@@ -55,9 +58,6 @@ from .mutations import (
     orbit_search,
 )
 from .serialize import InputFormatError
-
-_BASIS_MAP = {"adams": "adams", "binomial": "binomial", "twists": "twists",
-              "xi": "standard_xi"}
 
 
 def _read_input(args) -> str:
@@ -100,20 +100,16 @@ def cmd_mutate(args) -> int:
     c = serialize.decode_collection(serialize.loads(_read_input(args)))
     if not is_semiorthonormal(c):
         raise InputFormatError("collection is not semiorthonormal")
-    try:
-        word = BraidWord.parse(args.word)
-        c = apply_braid(c, word)
-    except (ValueError, IndexError) as e:
-        raise InputFormatError(str(e)) from None
+    c = apply_braid(c, BraidWord.parse(args.word))
     _emit(args, {"collection": serialize.encode_collection(c),
                  "gram": serialize.encode_matrix(c.gram())})
     return 0
 
 
-# Largest -n of `k0 gram`, kept at 36 so that `k0 gram` accepts the same -n
-# as before; its Gram takes 0.13 s at -n 48 in the slowest basis (table of
-# scripts/k0_rate.py in BENCH_11.json), so the limit can rise once re-measured.
-K0_MAX_N = 36
+# Largest -n of `k0 gram`, from the table of scripts/k0_rate.py in
+# BENCH_12.json: in the slowest basis, binomial, the Gram takes 0.73 s at
+# -n 80 and 1.27 s at -n 96 (2-vCPU Xeon, Python 3.11).
+K0_MAX_N = 80
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
 # BENCH_11.json: classifying the integer kappa takes 0.86 s at -n 128 and
@@ -129,11 +125,7 @@ def _check_k0_limit(n: int, limit: int):
 
 def cmd_k0_gram(args) -> int:
     _check_k0_limit(args.n, K0_MAX_N)
-    try:
-        gram = gram_matrix(args.n, _BASIS_MAP[args.basis])
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
-    _emit(args, serialize.encode_matrix(gram))
+    _emit(args, serialize.encode_matrix(gram_matrix(args.n, args.basis)))
     return 0
 
 
@@ -143,10 +135,7 @@ def cmd_k0_rank(args) -> int:
         raise InputFormatError("expected a non-empty array of series coefficients")
     coeffs = [serialize.decode_number(x) for x in data]
     n = args.n if args.n is not None else len(coeffs) - 1
-    try:
-        check_truncation(n, len(coeffs))
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+    check_truncation(n, len(coeffs))
     # the rank is the constant term: no need to pad the series up to order n
     series = DSeries.from_coeffs(len(coeffs) - 1, coeffs)
     _emit(args, {"rank": serialize.encode_number(rank(series))})
@@ -158,12 +147,9 @@ def cmd_k0_classify(args) -> int:
     # so it is read off the integer kappa of the Adams basis; a basis only
     # has to exist at this n
     _check_k0_limit(args.n, K0_CLASSIFY_MAX_N)
-    try:
-        kappa = kappa_matrix(args.n)
-        if args.basis == "xi":
-            xi_basis(args.n)
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+    kappa = kappa_matrix(args.n)
+    if args.basis == "xi":
+        xi_basis(args.n)
     _emit(args, serialize.encode_report(_report(kappa)))
     return 0
 
@@ -175,10 +161,7 @@ def cmd_markov(args) -> int:
                      "trace": serialize.encode_int(trace_kappa_rank3(t)),
                      "is_markov": is_markov(t)})
         return 0
-    try:
-        trace = reduce_to_canonical(t)
-    except (NotMarkov, ZeroTriple) as e:
-        raise InputFormatError(str(e)) from None
+    trace = reduce_to_canonical(t)
     if not replay_trace(trace) or not realize_trace(trace):
         print("reduction trace failed to replay", file=sys.stderr)
         return 2
@@ -194,10 +177,7 @@ def cmd_orbit(args) -> int:
     if not is_unitriangular(gram):
         raise InputFormatError("collection is not semiorthonormal")
     max_nodes = args.max_nodes if args.max_nodes is not None else _max_nodes_default()
-    try:
-        report = orbit_search(c, args.height_bound, max_nodes, gram)
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+    report = orbit_search(c, args.height_bound, max_nodes, gram)
     _emit(args, serialize.encode_orbit_report(report))
     return 0
 
@@ -322,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     k0sub = p.add_subparsers(dest="k0cmd", required=True)
     g = k0sub.add_parser("gram")
     g.add_argument("-n", type=int, required=True)
-    g.add_argument("--basis", choices=sorted(_BASIS_MAP), default="adams")
+    g.add_argument("--basis", choices=BASES, default="adams")
     g.set_defaults(func=cmd_k0_gram)
     g = k0sub.add_parser("rank")
     add_input(g)
@@ -330,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_k0_rank)
     g = k0sub.add_parser("classify")
     g.add_argument("-n", type=int, required=True)
-    g.add_argument("--basis", choices=sorted(_BASIS_MAP), default="twists")
+    g.add_argument("--basis", choices=BASES, default="twists")
     g.set_defaults(func=cmd_k0_classify)
 
     p = sub.add_parser("markov", help="rank-3 Markov triples")
@@ -358,7 +338,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as e:
+    except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except AssertionError as e:

@@ -223,33 +223,6 @@ def int_text(x: int) -> str:
         return f"a {x.bit_length()}-bit integer"
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients lowest degree first, trimmed."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int]) -> "IntPolynomial":
-        c = [int(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return IntPolynomial(tuple(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     if not m.is_square:
@@ -349,11 +322,6 @@ def _berkowitz(m: IntMatrix) -> list:
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
                 for i in range(r + 2)]
     return poly[::-1]
-
-
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - m), exact coefficients."""
-    return IntPolynomial.from_coeffs(_berkowitz(m))
 
 
 def _is_triangular(m: _Matrix) -> bool:

@@ -334,6 +334,10 @@ def xi_basis(n: int) -> list[DSeries]:
     return [DSeries.from_coeffs(2, row) for row in _XI_BASIS_N2]
 
 
+# the bases of K0(P^n) that gram_matrix takes by name
+BASES = ("adams", "binomial", "twists", "xi")
+
+
 def _basis_series(n: int, basis: str) -> list[DSeries]:
     if basis == "binomial":
         # gamma_{n-k} corresponds to the operator nabla^k
@@ -347,7 +351,7 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
                 for k in range(n + 1)]
     if basis == "twists":
         return [DSeries.exp(n, k) for k in range(n + 1)]
-    if basis == "standard_xi":
+    if basis == "xi":
         return xi_basis(n)
     raise ValueError(f"unknown basis {basis!r}")
 

@@ -75,7 +75,7 @@ def test_criterion_1_adams_gram_matrices():
 
 
 def test_criterion_2_xi_basis_gram():
-    got = gram_matrix(2, "standard_xi")
+    got = gram_matrix(2, "xi")
     expected = standard_type1_gram(2)
     ok = (got - expected).is_zero() and \
         [[int(x) for x in r] for r in expected.entries] == \

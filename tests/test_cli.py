@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiortho import serialize
+from semiortho import cli, serialize
 from semiortho.bilinear_form import BilinearLattice
 from semiortho.cli import K0_CLASSIFY_MAX_N, K0_MAX_N, main
 from semiortho.exact_linalg import IntMatrix, RatMatrix
@@ -259,6 +259,41 @@ def test_cli_orbit_semiorthonormal_error_comes_first(capsys, monkeypatch):
     for env in ("zzz", "0", "-3"):
         monkeypatch.setenv("SEMIORTHO_MAX_NODES", env)
         assert run(capsys, "orbit", "--inline", bad) == expected, env
+
+
+# each command with an input that reaches its library call, as bound in cli
+_LIBRARY_CALLS = (
+    (("classify", "--inline", LAT), "detect_type"),
+    (("mutate", "--inline", COLL, "--word", "L1"), "apply_braid"),
+    (("k0", "gram", "-n", "2"), "gram_matrix"),
+    (("k0", "rank", "--inline", "[3]"), "rank"),
+    (("k0", "classify", "-n", "2"), "kappa_matrix"),
+    (("markov", "check", "3", "3", "3"), "trace_kappa_rank3"),
+    (("markov", "reduce", "3", "3", "6"), "reduce_to_canonical"),
+    (("orbit", "--inline", COLL), "orbit_search"),
+    (("verify", "--suite", "sigma"), "sigma_pairing"),
+)
+
+
+def test_cli_library_errors_exit_1(capsys, monkeypatch):
+    # main alone maps library errors to exit codes, for every command
+    def planted(error):
+        def call(*args, **kwargs):
+            raise error("planted")
+        return call
+
+    for argv, name in _LIBRARY_CALLS:
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, planted(ValueError))
+            assert run(capsys, *argv) == (1, "", "error: planted\n"), argv
+    with monkeypatch.context() as m:
+        m.setattr(cli, "apply_braid", planted(IndexError))
+        assert run(capsys, "mutate", "--inline", COLL, "--word", "L1") == \
+            (1, "", "error: planted\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "detect_type", planted(AssertionError))
+        assert run(capsys, "classify", "--inline", LAT) == \
+            (2, "", "property violation: planted\n")
 
 
 def test_cli_k0_rank_does_not_pad_the_series(capsys):

@@ -110,12 +110,12 @@ def test_twist_gram_n2_printed():
 
 
 def test_xi_basis_gram():
-    x = gram_matrix(2, "standard_xi")
+    x = gram_matrix(2, "xi")
     assert (x - standard_type1_gram(2)).is_zero()
     with pytest.raises(ValueError):
         xi_basis(3)
     with pytest.raises(ValueError):
-        gram_matrix(4, "standard_xi")
+        gram_matrix(4, "xi")
     with pytest.raises(ValueError):
         gram_matrix(2, "nonsense")
 
@@ -282,7 +282,7 @@ def test_series_inverse():
 
 def test_hankel_gram_matches_pairwise_pairing():
     for basis, sizes in (("twists", range(10)), ("adams", range(10)),
-                         ("binomial", range(10)), ("standard_xi", (2,))):
+                         ("binomial", range(10)), ("xi", (2,))):
         for n in sizes:
             series = _basis_series(n, basis)
             ref = RatMatrix.from_rows([[hilbert_pairing(n, a, b) for b in series]
@@ -346,5 +346,5 @@ def test_kappa_matrix_report_is_the_gram_report_in_every_basis():
     for n in range(13):
         report = _report(kappa_matrix(n))
         assert report.verdict == Type1(n, (-1) ** n)
-        for basis in ("twists", "binomial", "adams") + (("standard_xi",) if n == 2 else ()):
+        for basis in ("twists", "binomial", "adams") + (("xi",) if n == 2 else ()):
             assert report == detect_type_gram(gram_matrix(n, basis)), (n, basis)
