@@ -14,7 +14,7 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import SonCollection, _mutate_gram, is_semiorthonormal, is_unitriangular, mutate_pair
+from .mutations import SonCollection, _mutate_gram, is_unitriangular, mutate_pair
 
 
 class NotMarkov(ValueError):
@@ -219,7 +219,7 @@ def classify_rank3(lattice: BilinearLattice) -> Rank3Class:
     """Jordan shape of kappa for a rank-3 semiorthonormal form, by trace."""
     if lattice.rank != 3:
         raise ValueError("classification applies to rank 3 only")
-    if not is_semiorthonormal(SonCollection.standard_basis(lattice)):
+    if not is_unitriangular(lattice.gram):
         raise ValueError("basis is not semiorthonormal")
     tr = canonical_operator(lattice).matrix.trace()
     if tr == 3:

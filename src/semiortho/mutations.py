@@ -41,12 +41,12 @@ def _ambient_vector(ambient: BilinearLattice, v) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SonCollection:
-    """Ordered vectors in an ambient lattice, semiorthonormal by contract.
+    """Ordered vectors in an ambient lattice, semiorthonormal by construction.
 
     The collection need not span the ambient lattice; the ambient form stays
     fixed while mutations rewrite the vectors.  Construction checks that each
-    vector is integral and of the ambient rank, and stores it as a tuple of
-    ints.
+    vector is integral and of the ambient rank, stores it as a tuple of ints,
+    and raises ValueError unless the Gram is upper unitriangular.
     """
 
     ambient: BilinearLattice
@@ -56,10 +56,12 @@ class SonCollection:
         # a non-integral entry raises ValueError, a vector of the wrong length ShapeError
         object.__setattr__(self, "vectors",
                            tuple(_ambient_vector(self.ambient, v) for v in self.vectors))
+        if not is_semiorthonormal(self):
+            raise ValueError("collection is not semiorthonormal")
 
     def _derived(self, vectors: tuple[tuple[int, ...], ...]) -> "SonCollection":
-        # integer combinations of this collection's vectors are valid already,
-        # so mutations and sign flips skip the check of __post_init__
+        # a mutation or a sign flip of a semiorthonormal collection is
+        # semiorthonormal, so they skip the checks of __post_init__
         c = object.__new__(SonCollection)
         object.__setattr__(c, "ambient", self.ambient)
         object.__setattr__(c, "vectors", vectors)
@@ -168,10 +170,6 @@ def mutate_pair(c: SonCollection, nu: int, direction: Direction) -> SonCollectio
         raise IndexError(f"mutation index {nu} out of range 1..{len(c) - 1}")
     a = c.vectors[nu - 1]
     b = c.vectors[nu]
-    if pair(c.ambient, a, a) != 1 or pair(c.ambient, b, b) != 1 \
-            or pair(c.ambient, b, a) != 0:
-        # mutations are defined on semiorthonormal pairs only
-        raise ValueError("pair is not semiorthonormal")
     ab = pair(c.ambient, a, b)
     if direction == "L":
         new = (tuple(x - ab * y for x, y in zip(b, a)), a)
@@ -273,25 +271,19 @@ class OrbitReport:
         return bool(self.truncated_by)
 
 
-def orbit_search(c: SonCollection, height_bound: int, max_nodes: int,
-                 gram: IntMatrix | None = None) -> OrbitReport:
+def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitReport:
     """BFS over mutations modulo the sign action on basis vectors.
 
     States are the flat strict upper triangles of the collection's Gram,
     canonicalized to the lex-least representative over sign flips.  A state
     whose height, max |Gram entry| with the unit diagonal, exceeds the bound
     is not expanded; hitting either bound flags the report as truncated.
-    `gram`, when given, must equal c.gram(): a caller that has built it
-    already passes it instead of having it built again.  It is tested for
-    unitriangularity like a Gram built here, but not compared with c.
+    The search starts from one Gram of c, which is unitriangular because c
+    is a SonCollection.
     """
     if height_bound < 0 or max_nodes <= 0:
         raise ValueError("height bound must be >= 0 and node cap >= 1")
-    if gram is None:
-        gram = c.gram()
-    if not is_unitriangular(gram):
-        raise ValueError("collection is not semiorthonormal")
-    g = gram.entries
+    g = c.gram().entries
     n = len(c)
     pairs = _layout(n)[0]
     target = n == 3 and _sign_canonical(tuple(MARKOV_CANONICAL_GRAM[i][j] for i, j in pairs), 3)

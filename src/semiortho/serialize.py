@@ -2,10 +2,10 @@
 
 Numbers are exact: integers stay JSON numbers while |x| < 2^53 and become
 decimal strings beyond that; rationals are always "p/q" in lowest terms.
-`encode_int`, `encode_number`, `encode_matrix`, `encode_lattice`,
-`encode_collection` and `encode_triple` each have a reader that accepts
-their output unchanged.  `encode_verdict`, `encode_report`,
-`encode_orbit_report` and `encode_trace` have none yet.
+`encode_int`, `encode_number`, `encode_matrix`, `encode_lattice` and
+`encode_collection` each have a reader that accepts their output unchanged.
+`encode_triple`, `encode_verdict`, `encode_report`, `encode_orbit_report`
+and `encode_trace` have none yet.
 """
 
 from __future__ import annotations
@@ -170,12 +170,6 @@ def encode_orbit_report(r: OrbitReport) -> dict:
 
 def encode_triple(t: MarkovTriple) -> list:
     return [encode_int(t.a), encode_int(t.b), encode_int(t.c)]
-
-
-def decode_triple(v) -> MarkovTriple:
-    if not isinstance(v, list) or len(v) != 3:
-        raise InputFormatError("triple must be an array of three integers")
-    return MarkovTriple(*(decode_int(x) for x in v))
 
 
 def encode_trace(trace: ReductionTrace) -> dict:

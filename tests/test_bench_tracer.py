@@ -31,7 +31,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         bilinear_form.canonical_operator(lat)
         mutations.SonCollection.standard_basis(lat).gram()
         assert t.calls["bilinear_form.canonical_operator"] == 1
-        assert t.calls["mutations.SonCollection.gram"] == 1
+        # checked at construction, then read once here
+        assert t.calls["mutations.SonCollection.gram"] == 2
+        assert t.calls["mutations.is_semiorthonormal"] == 1
         assert t.calls["exact_linalg.IntMatrix.mul"] == 1
     finally:
         t.uninstall()
@@ -136,6 +138,6 @@ def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     assert t.counters["orbit.attempts"] == 200
     assert t.calls["mutations._mutate_gram"] == 200
     assert t.calls["mutations._sign_canonical"] == 202  # plus the start and the Markov target
-    assert t.calls["mutations.SonCollection.gram"] == 1  # tested once, searched from once
+    assert t.calls["mutations.SonCollection.gram"] == 2  # checked at construction, searched from once
     assert t.counters["mutations.orbit_search.nodes"] == 50
     assert t.counters["orbit.new_states"] == 49

@@ -2,11 +2,9 @@
 
 import io
 import json
-import os
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -135,17 +133,13 @@ def test_cli_markov(capsys):
     assert code == 1
 
 
-def test_cli_orbit(capsys, monkeypatch):
+def test_cli_orbit(capsys):
     code, out, _ = run(capsys, "orbit", "--inline", COLL, "--height-bound", "40")
     data = json.loads(out)
     assert code == 0 and data["reached_markov_canonical"] and data["truncated"]
-    monkeypatch.setenv("SEMIORTHO_MAX_NODES", "4")
-    code, out, _ = run(capsys, "orbit", "--inline", COLL,
+    code, out, _ = run(capsys, "orbit", "--inline", COLL, "--max-nodes", "4",
                        "--height-bound", "1000000")
     assert json.loads(out)["orbit_size"] <= 4
-    monkeypatch.setenv("SEMIORTHO_MAX_NODES", "zzz")
-    code, _, _ = run(capsys, "orbit", "--inline", COLL)
-    assert code == 1
 
 
 def test_cli_verify(capsys):
@@ -173,7 +167,7 @@ def test_cli_file_input(capsys, tmp_path):
     assert code == 1
 
 
-def test_cli_rejects_bad_sizes_and_bounds(capsys, monkeypatch):
+def test_cli_rejects_bad_sizes_and_bounds(capsys):
     one = '{"ambient":{"gram":[[1]]},"vectors":[[1]]}'
     for argv in (("k0", "rank", "--inline", "[]"),
                  ("k0", "rank", "--inline", "[1,2]", "-n", "-1"),
@@ -183,9 +177,6 @@ def test_cli_rejects_bad_sizes_and_bounds(capsys, monkeypatch):
                  ("orbit", "--inline", one, "--max-nodes", "0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv
-    monkeypatch.setenv("SEMIORTHO_MAX_NODES", "0")
-    code, _, err = run(capsys, "orbit", "--inline", one)
-    assert code == 1 and err.startswith("error:")
 
 
 def test_cli_orbit_rank_zero(capsys):
@@ -249,16 +240,13 @@ def test_cli_k0_classify_error_order(capsys):
     assert code == 0 and json.loads(out)["verdict"] == {"type": "type1", "n": 2, "epsilon": 1}
 
 
-def test_cli_orbit_semiorthonormal_error_comes_first(capsys, monkeypatch):
+def test_cli_orbit_semiorthonormal_error_comes_first(capsys):
     # <e1, e0> = 2: not semiorthonormal, and that error wins over bad bounds
     bad = '{"ambient":{"gram":[[1,0],[2,1]]},"vectors":[[1,0],[0,1]]}'
     expected = (1, "", "error: collection is not semiorthonormal\n")
     for flags in (("--height-bound", "-1"), ("--max-nodes", "0"),
                   ("--height-bound", "-1", "--max-nodes", "0")):
         assert run(capsys, "orbit", "--inline", bad, *flags) == expected, flags
-    for env in ("zzz", "0", "-3"):
-        monkeypatch.setenv("SEMIORTHO_MAX_NODES", env)
-        assert run(capsys, "orbit", "--inline", bad) == expected, env
 
 
 # each command with an input that reaches its library call, as bound in cli
@@ -357,13 +345,13 @@ def _markov_argv(draw):
 
 
 @st.composite
-def _argv_and_env(draw):
-    """A command line for orbit, k0, classify, mutate or markov, and SEMIORTHO_MAX_NODES."""
+def _argv(draw):
+    """A command line for orbit, k0, classify, mutate or markov."""
     kind = draw(st.sampled_from(("orbit", "gram", "classify", "rank", "json", "markov")))
     if kind == "json":
-        return draw(_json_argv()), None
+        return draw(_json_argv())
     if kind == "markov":
-        return draw(_markov_argv()), None
+        return draw(_markov_argv())
     if kind == "orbit":
         n = draw(st.integers(0, 4))
         gram = [[int(i == j) if j <= i else draw(st.integers(-3, 3))
@@ -371,14 +359,11 @@ def _argv_and_env(draw):
         # a permuted basis is semiorthonormal only for some Grams
         order = draw(st.permutations(range(n)))
         vectors = [[int(i == j) for j in range(n)] for i in order]
-        argv = ["orbit", "--inline", json.dumps({"ambient": {"gram": gram},
-                                                 "vectors": vectors}),
-                "--height-bound", str(draw(st.integers()))]
         # the node cap keeps each search small; its lower end is unbounded
-        cap = str(draw(st.integers(max_value=40)))
-        if draw(st.booleans()):
-            return argv + ["--max-nodes", cap], None
-        return argv, cap
+        return ["orbit", "--inline", json.dumps({"ambient": {"gram": gram},
+                                                 "vectors": vectors}),
+                "--height-bound", str(draw(st.integers())),
+                "--max-nodes", str(draw(st.integers(max_value=40)))]
     n = str(draw(st.integers(-3, 3)))
     if kind == "rank":
         coeffs = draw(st.lists(st.one_of(
@@ -386,18 +371,16 @@ def _argv_and_env(draw):
             st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 4))),
             max_size=3))
         argv = ["k0", "rank", "--inline", json.dumps(coeffs)]
-        return (argv + ["-n", n] if draw(st.booleans()) else argv), None
+        return argv + ["-n", n] if draw(st.booleans()) else argv
     basis = draw(st.sampled_from(("adams", "binomial", "twists", "xi")))
-    return ["k0", kind, "-n", n, "--basis", basis], None
+    return ["k0", kind, "-n", n, "--basis", basis]
 
 
 @settings(max_examples=500, deadline=None)
-@given(_argv_and_env())
-def test_cli_contract_exit_codes(case):
-    argv, max_nodes_env = case
-    env = {} if max_nodes_env is None else {"SEMIORTHO_MAX_NODES": max_nodes_env}
+@given(_argv())
+def test_cli_contract_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse rejects a command line this way

@@ -151,10 +151,13 @@ def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(mon
         if len(calls) < last:
             return out
         # the last move: the same entries above the diagonal, so the waypoint
-        # and the end still match, but chi(e0, e0) = -1
+        # and the end still match, but chi(e0, e0) = -1; planted past the
+        # constructor's check, as SonCollection._derived builds its output
         rows = [list(r) for r in out.gram().entries]
         rows[0][0] = -1
-        return SonCollection.standard_basis(BilinearLattice.from_rows(rows))
+        c = SonCollection.standard_basis(BilinearLattice.standard(3))
+        object.__setattr__(c, "ambient", BilinearLattice.from_rows(rows))
+        return c
 
     monkeypatch.setattr(markov, "mutate_pair", broken)
     assert not realize_trace(tr)

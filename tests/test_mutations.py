@@ -64,6 +64,17 @@ def test_standard_basis_and_gram():
     assert (g[0, 1], g[0, 2], g[1, 2]) == (-3, -6, 3)
 
 
+def test_son_collection_checks_semiorthonormality():
+    # <e1, e0> = 2: the standard basis of this form is not semiorthonormal
+    with pytest.raises(ValueError, match="collection is not semiorthonormal"):
+        SonCollection.standard_basis(BilinearLattice.from_rows([[1, 0], [2, 1]]))
+    # a semiorthonormal basis in the other order is not: <e0, e1> = 3 lands below the diagonal
+    lat = BilinearLattice.from_rows([[1, 3], [0, 1]])
+    assert SonCollection.from_vectors(lat, [(1, 0), (0, 1)]).gram().entries == lat.gram.entries
+    with pytest.raises(ValueError, match="collection is not semiorthonormal"):
+        SonCollection.from_vectors(lat, [(0, 1), (1, 0)])
+
+
 def test_admissible_submodule_validation():
     lat = BilinearLattice.from_rows([[1, 3], [0, 1]])
     AdmissibleSubmodule.from_basis(lat, [(1, 0)])
@@ -228,8 +239,6 @@ def test_orbit_search_markov_form():
     assert report.reached_markov_canonical
     assert report.truncated  # the orbit is infinite; the bound cuts it
     assert report.orbit_size > 1
-    # a caller that has the Gram already passes it on
-    assert orbit_search(c, height_bound=60, max_nodes=2000, gram=c.gram()) == report
 
 
 def test_orbit_search_trivial_cases():
