@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed input, 2 property violation found.
-`main` alone maps exceptions to exit codes: a `ValueError` or `IndexError`
-from the library or the input checks here is malformed input, exit 1 with
-an `error:` line on stderr; an `AssertionError` is a property violation,
-exit 2.  The commands only parse, call the library and encode.
+`main` alone maps exceptions to exit codes: a malformed command line, or a
+`ValueError` or `IndexError` from the library or the input checks here, is
+malformed input, exit 1 with an `error:` line on stderr; an `AssertionError`
+is a property violation, exit 2.  The commands only parse, call the library
+(`verify` calls the laws of `properties`) and encode.
 All output is exact JSON (deterministic byte-for-byte); --output pretty
 switches to indented rendering.
 """
@@ -13,47 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
-from fractions import Fraction
 
-from . import serialize
-from .bilinear_form import (
-    BilinearLattice,
-    canonical_operator,
-    extension_trace_check,
-    is_isometry,
-    verify_canmatr,
-)
+from . import properties, serialize
 # detect_type_gram is unused here, but bench/tests checks that the tracer
 # replaces this copy of it
 from .classification import _report, detect_type, detect_type_gram  # noqa: F401
-from .exact_linalg import IntMatrix
-from .k0_pn import (
-    BASES,
-    DSeries,
-    check_truncation,
-    gram_matrix,
-    hilbert_pairing,
-    kappa_matrix,
-    rank,
-    sigma_pairing,
-    xi_basis,
-)
-from .markov import (
-    MarkovTriple,
-    is_markov,
-    realize_trace,
-    reduce_to_canonical,
-    replay_trace,
-    trace_kappa_rank3,
-)
-from .mutations import (
-    BraidWord,
-    SonCollection,
-    apply_braid,
-    orbit_search,
-)
+from .k0_pn import BASES, DSeries, check_truncation, gram_matrix, kappa_matrix, rank, xi_basis
+from .markov import MarkovTriple, is_markov, realize_trace, reduce_to_canonical, trace_kappa_rank3
+from .mutations import BraidWord, apply_braid, orbit_search
 from .serialize import InputFormatError
 
 
@@ -150,8 +119,7 @@ def cmd_markov(args) -> int:
     # the triple-level replay_trace would only redo the apply_word calls that
     # built the trace; realize_trace checks it on vectors
     if not realize_trace(trace):
-        print("reduction trace failed to replay", file=sys.stderr)
-        return 2
+        raise AssertionError("reduction trace failed to replay")
     _emit(args, serialize.encode_trace(trace))
     return 0
 
@@ -163,103 +131,26 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _suite_braid(rng) -> int:
-    failures = 0
-    for _ in range(25):
-        c = SonCollection.standard_basis(BilinearLattice(random_son_gram(rng, rng.randint(3, 4))))
-        n = len(c)
-        for nu in range(1, n):
-            if apply_braid(c, BraidWord.parse(f"L{nu} R{nu}")).vectors != c.vectors:
-                failures += 1
-            if apply_braid(c, BraidWord.parse(f"R{nu} L{nu}")).vectors != c.vectors:
-                failures += 1
-        for nu in range(2, n):
-            lhs = apply_braid(c, BraidWord.parse(f"L{nu} L{nu - 1} L{nu}"))
-            rhs = apply_braid(c, BraidWord.parse(f"L{nu - 1} L{nu} L{nu - 1}"))
-            if lhs.gram().entries != rhs.gram().entries:
-                failures += 1
-    return failures
-
-
-def _suite_canonical(rng) -> int:
-    failures = 0
-    for _ in range(25):
-        r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
-        l1 = BilinearLattice(random_son_gram(rng, r1))
-        l2 = BilinearLattice(random_son_gram(rng, r2))
-        coupling = IntMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(r2)] for _ in range(r1)])
-        if not verify_canmatr(l1, l2, coupling):
-            failures += 1
-        if not is_isometry(canonical_operator(l1)):
-            failures += 1
-        try:
-            extension_trace_check(l1, [rng.randint(-3, 3) for _ in range(r1)])
-        except AssertionError:
-            failures += 1
-    return failures
-
-
-def _suite_sigma(rng) -> int:
-    failures = 0
-    for n in (2, 3):
-        for _ in range(15):
-            a = DSeries.from_coeffs(
-                n, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n + 1)])
-            b = DSeries.from_coeffs(
-                n, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n + 1)])
-            if sigma_pairing(n, a.adams_coords(), b.adams_coords()) \
-                    != hilbert_pairing(n, a, b):
-                failures += 1
-    return failures
-
-
-def _suite_markov(rng) -> int:
-    from .markov import apply_word, vieta
-    failures = 0
-    for _ in range(25):
-        t = MarkovTriple(3, 3, 3)
-        for _ in range(rng.randint(0, 6)):
-            t = vieta(t, rng.randint(1, 3))
-        if rng.random() < 0.5:
-            t = apply_word(t, rng.choice(["F0", "F1", "F2"]))
-        trace = reduce_to_canonical(t)
-        if trace.end.as_tuple() != (3, 3, 3) or not replay_trace(trace) \
-                or not realize_trace(trace):
-            failures += 1
-    return failures
-
-
-_SUITES = {"braid": _suite_braid, "canonical": _suite_canonical,
-           "sigma": _suite_sigma, "markov": _suite_markov}
-
-
-def random_son_gram(rng: random.Random, n: int, bound: int = 4) -> IntMatrix:
-    """Upper unitriangular integer matrix: Gram of a semiorthonormal basis."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randint(-bound, bound)
-    return IntMatrix.from_rows(rows)
-
-
 def cmd_verify(args) -> int:
-    names = sorted(_SUITES) if args.suite == "all" else [args.suite]
-    rng = random.Random(args.seed)
-    results = {}
-    total_failures = 0
-    for name in names:
-        failures = _SUITES[name](rng)
-        results[name] = {"failures": failures, "passed": failures == 0}
-        total_failures += failures
-    _emit(args, {"suites": results, "passed": total_failures == 0})
-    return 0 if total_failures == 0 else 2
+    names = sorted(properties.SUITES) if args.suite == "all" else [args.suite]
+    failures = properties.run_suites(names, args.seed)
+    passed = not any(failures.values())
+    _emit(args, {"suites": {name: {"failures": f, "passed": f == 0}
+                            for name, f in failures.items()},
+                 "passed": passed})
+    return 0 if passed else 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: exit 1 through main, not 2."""
+
+    def error(self, message):
+        raise InputFormatError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semiortho",
         description="Exact arithmetic for non-symmetric unimodular bilinear forms")
     parser.add_argument("--output", choices=("json", "pretty"), default="json")
@@ -308,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", choices=sorted(_SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=sorted(properties.SUITES) + ["all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -316,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)

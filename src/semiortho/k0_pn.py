@@ -186,15 +186,7 @@ class DSeries:
         """Action on a numerical polynomial; gamma-coordinates of the result."""
         if f.n != self.n:
             raise ShapeError("mismatched dimensions")
-        x = self.nabla_coords()
-        out = [Fraction(0)] * (self.n + 1)
-        # nabla^m shifts gamma-coordinates down m steps
-        for m, c in enumerate(x):
-            if c == 0:
-                continue
-            for k in range(self.n + 1 - m):
-                out[k + m] += c * f.coords[k]
-        return tuple(out)
+        return (self * chern(f)).nabla_coords()
 
     def _check(self, other: "DSeries"):
         if self.n != other.n:

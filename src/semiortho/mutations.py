@@ -79,8 +79,10 @@ class SonCollection:
         return len(self.vectors)
 
     def gram(self) -> IntMatrix:
-        """Gram matrix of the collection under the ambient form."""
-        return restricted_gram(self.ambient, self.vectors)
+        """Gram matrix of the collection under the ambient form, built once."""
+        if "_gram" not in self.__dict__:
+            object.__setattr__(self, "_gram", restricted_gram(self.ambient, self.vectors))
+        return self._gram
 
     def flip_sign(self, i: int) -> "SonCollection":
         vs = list(self.vectors)

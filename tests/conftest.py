@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 
 from semiortho.bilinear_form import BilinearLattice
-from semiortho.cli import random_son_gram
 from semiortho.exact_linalg import IntMatrix, RatMatrix
+from semiortho.properties import random_son_gram
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = None) -> IntMatrix:

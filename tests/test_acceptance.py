@@ -5,17 +5,10 @@ is visible in any pytest run.
 """
 
 import random
-import sys
 import time
 from fractions import Fraction
 
-from semiortho.bilinear_form import (
-    BilinearLattice,
-    canonical_operator,
-    extension_trace_check,
-    pair,
-    verify_canmatr,
-)
+from semiortho.bilinear_form import BilinearLattice, canonical_operator, pair, semiorthogonal_sum
 from semiortho.classification import (
     Type1,
     detect_type_gram,
@@ -25,25 +18,19 @@ from semiortho.classification import (
     standard_type1_gram,
     type1_isometry_from_odd,
 )
-from semiortho.exact_linalg import IntMatrix, RatMatrix, nilpotency_index
-from semiortho.k0_pn import (
-    DSeries,
-    gram_matrix,
-    hilbert_pairing,
-    sigma_pairing,
+from semiortho.exact_linalg import IntMatrix, RatMatrix, inverse_unimodular, nilpotency_index
+from semiortho.k0_pn import DSeries, gram_matrix
+from semiortho.markov import MarkovTriple, is_markov, reduce_to_canonical, trace_kappa_rank3, vieta
+from semiortho.mutations import SonCollection, is_semiorthonormal
+from semiortho.properties import (
+    braid_failures,
+    canonical_failures,
+    markov_failures,
+    random_son_gram,
+    sigma_failures,
 )
-from semiortho.markov import (
-    MarkovTriple,
-    is_markov,
-    realize_trace,
-    reduce_to_canonical,
-    replay_trace,
-    trace_kappa_rank3,
-    vieta,
-)
-from semiortho.mutations import BraidWord, apply_braid, is_semiorthonormal
 
-from conftest import random_son_gram, random_unimodular, random_unimodular_gram
+from conftest import random_unimodular, random_unimodular_gram
 
 F = Fraction
 
@@ -121,9 +108,7 @@ def test_criterion_4_markov_reduction_exhaustive():
         ok = ok and is_markov(t)
         trace = reduce_to_canonical(t)
         longest = max(longest, len(trace.moves))
-        ok = ok and trace.end == MarkovTriple(3, 3, 3)
-        ok = ok and replay_trace(trace)
-        ok = ok and realize_trace(trace)  # vector level, semiorthonormal throughout
+        ok = ok and markov_failures(trace) == 0
     elapsed = time.monotonic() - t0
     _report("criterion 4: all Markov solutions max<=1e6 within 25 moves reduce "
             "to (3,3,3) with vector replay",
@@ -157,26 +142,11 @@ def test_criterion_6_braid_suite():
         n = rng.randint(3, 6)
         s = random_unimodular(rng, n)
         core = random_son_gram(rng, n, bound=3)
-        from semiortho.exact_linalg import inverse_unimodular
         sinv = inverse_unimodular(s)
         ambient = BilinearLattice(sinv.transpose() * core * sinv)
-        from semiortho.mutations import SonCollection
         c = SonCollection.from_vectors(
             ambient, [s.transpose().row(i) for i in range(n)])
-        ok = ok and is_semiorthonormal(c)
-        nu = rng.randint(1, n - 1)
-        ok = ok and apply_braid(c, BraidWord.parse(f"R{nu} L{nu}")).vectors == c.vectors
-        ok = ok and apply_braid(c, BraidWord.parse(f"L{nu} R{nu}")).vectors == c.vectors
-        if n >= 3:
-            nu = rng.randint(2, n - 1)
-            lhs = apply_braid(c, BraidWord.parse(f"L{nu} L{nu-1} L{nu}"))
-            rhs = apply_braid(c, BraidWord.parse(f"L{nu-1} L{nu} L{nu-1}"))
-            ok = ok and lhs.vectors == rhs.vectors
-        far = [(a, b) for a in range(1, n) for b in range(a + 2, n)]
-        if far:
-            a, b = rng.choice(far)
-            ok = ok and apply_braid(c, BraidWord.parse(f"L{a} L{b}")).vectors \
-                == apply_braid(c, BraidWord.parse(f"L{b} L{a}")).vectors
+        ok = ok and is_semiorthonormal(c) and braid_failures(c) == 0
         if not ok:
             break
     _report("criterion 6: braid identities on 500 random collections ranks 3-6", ok)
@@ -191,7 +161,6 @@ def test_criterion_7_canonical_operator_laws():
         l2 = BilinearLattice(random_unimodular_gram(rng, r2))
         coupling = IntMatrix.from_rows(
             [[rng.randint(-4, 4) for _ in range(r2)] for _ in range(r1)])
-        from semiortho.bilinear_form import semiorthogonal_sum
         total = semiorthogonal_sum(l1, l2, coupling)
         kappa = canonical_operator(total)
         x = total.gram.to_rat()
@@ -201,21 +170,13 @@ def test_criterion_7_canonical_operator_laws():
         w = [rng.randint(-3, 3) for _ in range(total.rank)]
         kv = kappa.matrix.apply([F(t) for t in v])
         ok = ok and pair(total, v, w) == pair(total, w, kv)
-        ok = ok and verify_canmatr(l1, l2, coupling)
+        # the block formula, and the rank-1 extension of l1 by ell
+        ell = [rng.randint(-5, 5) for _ in range(r1)]
+        ok = ok and canonical_failures(l1, l2, coupling, ell) == 0
         if not ok:
             break
-    trace_ok = True
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        w_lat = BilinearLattice(random_unimodular_gram(rng, n))
-        ell = [rng.randint(-5, 5) for _ in range(n)]
-        try:
-            extension_trace_check(w_lat, ell)
-        except AssertionError:
-            trace_ok = False
-            break
     _report("criterion 7: canonical-operator laws on 200 sums and 200 "
-            "rank-1 extensions", ok and trace_ok)
+            "rank-1 extensions", ok)
 
 
 def test_criterion_8_sigma_formula():
@@ -227,8 +188,7 @@ def test_criterion_8_sigma_formula():
                 n, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)])
             b = DSeries.from_coeffs(
                 n, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)])
-            ok = ok and sigma_pairing(n, a.adams_coords(), b.adams_coords()) \
-                == hilbert_pairing(n, a, b)
+            ok = ok and sigma_failures(a, b) == 0
     _report("criterion 8: sigma-formula equals direct pairing, 100 pairs per n<=5", ok)
 
 

@@ -139,5 +139,6 @@ def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     assert t.calls["mutations._mutate_gram"] == 200
     assert t.calls["mutations._sign_canonical"] == 202  # plus the start and the Markov target
     assert t.calls["mutations.SonCollection.gram"] == 2  # checked at construction, searched from once
+    assert t.calls["bilinear_form.pair"] == 9  # the one 3x3 Gram, kept by the collection
     assert t.counters["mutations.orbit_search.nodes"] == 50
     assert t.counters["orbit.new_states"] == 49

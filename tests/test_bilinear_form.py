@@ -29,7 +29,7 @@ from semiortho.exact_linalg import (
     char_poly_rat,
 )
 
-from conftest import random_son_lattice, random_unimodular_gram
+from conftest import random_unimodular_gram
 
 
 def test_lattice_validation():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiortho import cli, serialize
+from semiortho import cli, properties, serialize
 from semiortho.bilinear_form import BilinearLattice
 from semiortho.cli import K0_CLASSIFY_MAX_N, K0_MAX_N, main
 from semiortho.exact_linalg import IntMatrix, RatMatrix
@@ -142,12 +142,17 @@ def test_cli_orbit(capsys):
     assert json.loads(out)["orbit_size"] <= 4
 
 
-def test_cli_verify(capsys):
+def test_cli_verify(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "braid")
     assert code == 0 and json.loads(out)["passed"]
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert set(json.loads(out)["suites"]) == {"braid", "canonical", "markov", "sigma"}
+    # a broken law fails every draw of its suite
+    monkeypatch.setattr(properties, "verify_canmatr", lambda *args: False)
+    code, out, _ = run(capsys, "verify", "--suite", "canonical")
+    assert (code, json.loads(out)) == (2, {"passed": False, "suites": {
+        "canonical": {"failures": 25, "passed": False}}})
 
 
 def test_cli_deterministic_output(capsys):
@@ -174,9 +179,17 @@ def test_cli_rejects_bad_sizes_and_bounds(capsys):
                  ("k0", "gram", "-n", "-1"),
                  ("k0", "classify", "-n", "-1"),
                  ("orbit", "--inline", one, "--height-bound", "-1"),
-                 ("orbit", "--inline", one, "--max-nodes", "0")):
+                 ("orbit", "--inline", one, "--max-nodes", "0"),
+                 # a malformed command line is malformed input too
+                 ("k0", "gram", "-n", "abc"),
+                 ("markov", "check", "3", "3"),
+                 ("nonsense",),
+                 ()):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv
+    with pytest.raises(SystemExit) as help_exit:
+        main(["k0", "--help"])
+    assert help_exit.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
 def test_cli_orbit_rank_zero(capsys):
@@ -250,16 +263,17 @@ def test_cli_orbit_semiorthonormal_error_comes_first(capsys):
 
 
 # each command with an input that reaches its library call, as bound in cli
+# or, for verify, in properties
 _LIBRARY_CALLS = (
-    (("classify", "--inline", LAT), "detect_type"),
-    (("mutate", "--inline", COLL, "--word", "L1"), "apply_braid"),
-    (("k0", "gram", "-n", "2"), "gram_matrix"),
-    (("k0", "rank", "--inline", "[3]"), "rank"),
-    (("k0", "classify", "-n", "2"), "kappa_matrix"),
-    (("markov", "check", "3", "3", "3"), "trace_kappa_rank3"),
-    (("markov", "reduce", "3", "3", "6"), "reduce_to_canonical"),
-    (("orbit", "--inline", COLL), "orbit_search"),
-    (("verify", "--suite", "sigma"), "sigma_pairing"),
+    (("classify", "--inline", LAT), cli, "detect_type"),
+    (("mutate", "--inline", COLL, "--word", "L1"), cli, "apply_braid"),
+    (("k0", "gram", "-n", "2"), cli, "gram_matrix"),
+    (("k0", "rank", "--inline", "[3]"), cli, "rank"),
+    (("k0", "classify", "-n", "2"), cli, "kappa_matrix"),
+    (("markov", "check", "3", "3", "3"), cli, "trace_kappa_rank3"),
+    (("markov", "reduce", "3", "3", "6"), cli, "reduce_to_canonical"),
+    (("orbit", "--inline", COLL), cli, "orbit_search"),
+    (("verify", "--suite", "sigma"), properties, "sigma_pairing"),
 )
 
 
@@ -270,9 +284,9 @@ def test_cli_library_errors_exit_1(capsys, monkeypatch):
             raise error("planted")
         return call
 
-    for argv, name in _LIBRARY_CALLS:
+    for argv, owner, name in _LIBRARY_CALLS:
         with monkeypatch.context() as m:
-            m.setattr(cli, name, planted(ValueError))
+            m.setattr(owner, name, planted(ValueError))
             assert run(capsys, *argv) == (1, "", "error: planted\n"), argv
     with monkeypatch.context() as m:
         m.setattr(cli, "apply_braid", planted(IndexError))
@@ -282,6 +296,10 @@ def test_cli_library_errors_exit_1(capsys, monkeypatch):
         m.setattr(cli, "detect_type", planted(AssertionError))
         assert run(capsys, "classify", "--inline", LAT) == \
             (2, "", "property violation: planted\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "realize_trace", lambda trace: False)
+        assert run(capsys, "markov", "reduce", "3", "3", "6") == \
+            (2, "", "property violation: reduction trace failed to replay\n")
 
 
 def test_cli_k0_rank_does_not_pad_the_series(capsys):
@@ -383,13 +401,15 @@ def test_cli_contract_exit_codes(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as e:  # argparse rejects a command line this way
+        except SystemExit as e:  # argparse exits only for --help
             code = e.code
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         json.loads(out.getvalue())
     elif code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    else:  # a property violation, never argparse's usage message
+        assert "usage:" not in err.getvalue(), argv
 
 
 def test_cli_classify_verdict_is_over_the_algebraic_closure(capsys):

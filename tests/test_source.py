@@ -1,13 +1,23 @@
-"""Static checks on the package source."""
+"""Static checks on the package, test and script sources."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "semiortho"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ("src/semiortho/*.py", "tests/*.py", "scripts/*.py")
 
 # imported but unused on purpose: bench/tests checks that the tracer
 # replaces this copy of detect_type_gram
-ALLOWED_UNUSED = {("cli", "detect_type_gram")}
+ALLOWED_UNUSED = {("src/semiortho/cli.py", "detect_type_gram")}
+
+# what tests may take from the CLI: the entry point and the limits it enforces
+CLI_EXPORTS = {"main", "K0_MAX_N", "K0_CLASSIFY_MAX_N"}
+
+
+def _trees():
+    for pattern in SOURCES:
+        for path in sorted(ROOT.glob(pattern)):
+            yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text(), str(path))
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -24,8 +34,7 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 
 
 def test_no_unused_module_level_imports():
-    unused = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
-              for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
+    unused = {(path, name) for path, tree in _trees() for name in _unused_imports(tree)}
     assert unused == ALLOWED_UNUSED
 
 
@@ -34,3 +43,11 @@ def test_unused_import_check_sees_a_planted_import():
                      "import os\nimport os.path as osp\nfrom sys import argv, exit\n"
                      "def f():\n    return exit(argv)\n")
     assert _unused_imports(tree) == {"os", "osp"}
+
+
+def test_tests_take_only_the_entry_point_from_the_cli():
+    taken = {(path, alias.name) for path, tree in _trees() if path.startswith("tests/")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "semiortho.cli"
+             for alias in node.names}
+    assert {name for _, name in taken} <= CLI_EXPORTS, taken
