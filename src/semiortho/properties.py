@@ -96,11 +96,10 @@ def _markov(rng: random.Random) -> int:
 
 
 def _sigma(rng: random.Random) -> int:
-    n = rng.randint(1, 5)
-    a, b = (DSeries.from_coeffs(
+    # one pair at each n in 1..5, the range of criterion 8
+    return sum(sigma_failures(*(DSeries.from_coeffs(
         n, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n + 1)])
-        for _ in range(2))
-    return sigma_failures(a, b)
+        for _ in range(2))) for n in range(1, 6))
 
 
 # suite name -> one seeded draw checked against its law, returning the failures

@@ -237,7 +237,6 @@ def test_isometry_orbit_invariant():
     # kappa* kappa = identity since kappa is an isometry
     assert (inv.matrix - RatMatrix.identity(3)).is_zero()
     # non-commuting operator rejected
-    from semiortho.exact_linalg import IntMatrix
     bad = OperatorOnLattice(
         IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), lat)
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from semiortho.markov import (
     vieta,
 )
 from semiortho.mutations import SonCollection, mutate_pair
+from semiortho.properties import markov_failures
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -118,9 +119,7 @@ def test_reduction_random_walks():
         if rng.random() < 0.5:
             t = apply_word(t, rng.choice(["F0", "F1", "F2"]))
         tr = reduce_to_canonical(t)
-        assert tr.start == t and tr.end == MarkovTriple(3, 3, 3)
-        assert replay_trace(tr)
-        assert realize_trace(tr)
+        assert tr.start == t and markov_failures(tr) == 0
         # every Vieta move preserves the Markov invariant
         for move in tr.moves:
             assert is_markov(move.triple_after)
@@ -152,11 +151,13 @@ def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(mon
             return out
         # the last move: the same entries above the diagonal, so the waypoint
         # and the end still match, but chi(e0, e0) = -1; planted past the
-        # constructor's check, as SonCollection._derived builds its output
+        # constructor's check and with no Gram built yet, as
+        # SonCollection._derived builds its output
         rows = [list(r) for r in out.gram().entries]
         rows[0][0] = -1
-        c = SonCollection.standard_basis(BilinearLattice.standard(3))
+        c = object.__new__(SonCollection)
         object.__setattr__(c, "ambient", BilinearLattice.from_rows(rows))
+        object.__setattr__(c, "vectors", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         return c
 
     monkeypatch.setattr(markov, "mutate_pair", broken)
@@ -168,7 +169,6 @@ def test_classify_rank3():
     assert classify_rank3(MarkovTriple(3, 3, 3).lattice()).kind == "unipotent"
     assert classify_rank3(MarkovTriple(2, 0, 0).lattice()) == Rank3Class("minus_case", -1)
     assert classify_rank3(MarkovTriple(1, 0, 0).lattice()) == Rank3Class("split", 2)
-    from semiortho.bilinear_form import BilinearLattice
     with pytest.raises(ValueError):
         classify_rank3(BilinearLattice.standard(2))
     with pytest.raises(ValueError):

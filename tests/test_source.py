@@ -45,9 +45,28 @@ def test_unused_import_check_sees_a_planted_import():
     assert _unused_imports(tree) == {"os", "osp"}
 
 
+def _cli_reads(tree: ast.Module) -> set[str]:
+    """Names taken from semiortho.cli, by import or as attributes of the module; a
+    monkeypatch target named in a string is not a read."""
+    nodes = list(ast.walk(tree))
+    cli = {"semiortho.cli"} | {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                               and n.module == "semiortho" for a in n.names if a.name == "cli"}
+    cli |= {a.asname for n in nodes if isinstance(n, ast.Import)
+            for a in n.names if a.name == "semiortho.cli" and a.asname}
+    return ({a.name for n in nodes if isinstance(n, ast.ImportFrom) and n.module == "semiortho.cli"
+             for a in n.names}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute) and ast.unparse(n.value) in cli})
+
+
 def test_tests_take_only_the_entry_point_from_the_cli():
-    taken = {(path, alias.name) for path, tree in _trees() if path.startswith("tests/")
-             for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "semiortho.cli"
-             for alias in node.names}
+    taken = {(path, name) for path, tree in _trees() if path.startswith("tests/")
+             for name in _cli_reads(tree)}
     assert {name for _, name in taken} <= CLI_EXPORTS, taken
+
+
+def test_cli_read_check_sees_planted_reads():
+    tree = ast.parse("import semiortho.cli\nimport semiortho.cli as c2\n"
+                     "from semiortho import cli\nfrom semiortho.cli import main\n"
+                     "cli.random_son_gram(1)\nc2.SUITES\nsemiortho.cli.K0_MAX_N\n"
+                     "monkeypatch.setattr(cli, 'apply_braid', None)\n")
+    assert _cli_reads(tree) == {"main", "random_son_gram", "SUITES", "K0_MAX_N"}
