@@ -66,9 +66,10 @@ def cmd_mutate(args) -> int:
 K0_MAX_N = 80
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
-# BENCH_11.json: classifying the integer kappa takes 0.86 s at -n 128 and
-# 1.33 s at -n 144, nearly all of it the one rank of kappa - (-1)^n (2-vCPU
-# Xeon, Python 3.11).
+# BENCH_15.json: classifying the integer kappa over the binomial basis takes
+# 0.45 s at -n 128, 0.81 s at -n 144 and 1.21 s at -n 160, most of it the one
+# rank of kappa - (-1)^n (2-vCPU Xeon, Python 3.11).  The table would admit
+# -n 160; the limit has not been raised.
 K0_CLASSIFY_MAX_N = 128
 
 
@@ -98,7 +99,7 @@ def cmd_k0_rank(args) -> int:
 
 def cmd_k0_classify(args) -> int:
     # the report is a similarity invariant of kappa, the same in every basis,
-    # so it is read off the integer kappa of the Adams basis; a basis only
+    # so it is read off the integer kappa of the binomial basis; a basis only
     # has to exist at this n
     _check_k0_limit(args.n, K0_CLASSIFY_MAX_N)
     kappa = kappa_matrix(args.n)
@@ -167,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="apply a braid word to a collection")
     add_input(p)
-    p.add_argument("--word", default="", help='braid word like "L1 L2 R1"')
+    p.add_argument("--word", default="",
+                   help='mutations L<nu>/R<nu> (nu from 1) and sign flips F<i> (i from 0), '
+                        'applied left to right, like "F0 L1 R2"')
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("k0", help="projective-space lattice computations")

@@ -62,19 +62,6 @@ class NumPoly:
             val += c * _gamma_value(self.n - k, t)
         return val
 
-    def __add__(self, other: "NumPoly") -> "NumPoly":
-        if self.n != other.n:
-            raise ShapeError("mismatched dimensions")
-        return NumPoly(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "NumPoly") -> "NumPoly":
-        if self.n != other.n:
-            raise ShapeError("mismatched dimensions")
-        return NumPoly(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "NumPoly":
-        return NumPoly(self.n, tuple(-a for a in self.coords))
-
 
 def _gamma_value(j: int, t: Fraction) -> Fraction:
     # gamma_j(t) = (t+1)(t+2)...(t+j) / j!
@@ -279,18 +266,17 @@ def kappa_pn(n: int) -> DSeries:
 
 
 def kappa_matrix(n: int) -> IntMatrix:
-    """The integer matrix of kappa_pn(n) over the Adams basis D^k / k!.
+    """The integer matrix of kappa_pn(n) over the binomial basis nabla^0 .. nabla^n,
+    the Z-basis gamma_n .. gamma_0 of K0(P^n).
 
-    e^(cD) D^j / j! = sum over i >= j of C(i, j) c^(i-j) D^i / i!, so with
-    c = -(n+1) column j holds (-1)^n C(i, j) (-(n+1))^(i-j) in each row
-    i >= j: lower triangular, the diagonal all (-1)^n.  It equals
-    kappa_of_gram(gram_matrix(n, "adams")) without a Gram or a solve, and
-    every basis of K0(P^n) gives a similar matrix, so its char poly and
-    Jordan type are those of the form in any basis.
+    e^(-D) = 1 - nabla, so kappa = (-1)^n (1 - nabla)^(n+1) and column j holds
+    (-1)^n (-1)^(i-j) C(n+1, i-j) in each row i >= j: lower triangular, the
+    diagonal all (-1)^n.  It equals kappa_of_gram(gram_matrix(n, "binomial"))
+    without a Gram or a solve, and every basis of K0(P^n) gives a similar
+    matrix, so its char poly and Jordan type are those of the form in any basis.
     """
     _check_order(n)
-    eps, c = (-1) ** n, -(n + 1)
-    return IntMatrix(tuple(tuple(eps * comb(i, j) * c ** (i - j) if j <= i else 0
+    return IntMatrix(tuple(tuple((-1) ** (n + i - j) * comb(n + 1, i - j) if j <= i else 0
                                  for j in range(n + 1)) for i in range(n + 1)))
 
 

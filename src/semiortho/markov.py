@@ -14,7 +14,8 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import SonCollection, _mutate_gram, is_unitriangular, mutate_pair
+from .mutations import (BraidWord, SonCollection, _flip_gram, _mutate_gram, apply_braid,
+                        is_unitriangular)
 
 
 class NotMarkov(ValueError):
@@ -70,34 +71,23 @@ def vieta(t: MarkovTriple, pos: int) -> MarkovTriple:
     raise ValueError(f"position must be 1, 2 or 3, got {pos}")
 
 
-# Tokens are basis operations on a rank-3 collection, applied left to right:
-# Fi flips the sign of vector i, L/R letters mutate adjacent pairs.
-_FLIP_FOR_PAIR = {frozenset({1, 2}): "F0", frozenset({1, 3}): "F1",
-                  frozenset({2, 3}): "F2"}
+# Words act on a rank-3 collection, left to right, and are parsed once here.
+# The flip of one vector negates two entries of the triple.
+_FLIP_FOR_PAIR = {(1, 2): BraidWord.parse("F0"), (1, 3): BraidWord.parse("F1"),
+                  (2, 3): BraidWord.parse("F2")}
 
 # Realization of the Vieta move at each position.  A mutation letter always
 # combines a Vieta-type substitution with a transposition of neighbours, so
 # the realized triple is the pure Vieta result with two entries swapped.
-_VIETA_WORD = {1: "F1 R2", 2: "F0 R1", 3: "F1 L1"}
+_VIETA_WORD = {1: BraidWord.parse("F1 R2"), 2: BraidWord.parse("F0 R1"),
+               3: BraidWord.parse("F1 L1")}
 
 
-def _apply_token(triple: tuple[int, int, int], token: str) -> tuple[int, int, int]:
-    a, b, c = triple
-    if token == "F0":
-        return (-a, -b, c)
-    if token == "F1":
-        return (-a, b, -c)
-    if token == "F2":
-        return (a, -b, -c)
-    if token[0] in ("L", "R") and token[1:] in ("1", "2"):
-        return _mutate_gram(triple, 3, int(token[1:]), token[0])
-    raise ValueError(f"unknown token {token!r}")
-
-
-def apply_word(t: MarkovTriple, word: str) -> MarkovTriple:
+def apply_word(t: MarkovTriple, word: BraidWord) -> MarkovTriple:
+    """The triple after the word's letters act on the flat state (a, b, c)."""
     cur = t.as_tuple()
-    for token in word.split():
-        cur = _apply_token(cur, token)
+    for nu, d in word.letters:
+        cur = _flip_gram(cur, 3, nu) if d == "F" else _mutate_gram(cur, 3, nu, d)
     return MarkovTriple(*cur)
 
 
@@ -106,7 +96,7 @@ class SignFlipMove:
     """Procedure flipping the signs of two triple entries at once."""
 
     positions: tuple[int, int]
-    word: str  # the single basis-vector flip realizing it
+    word: BraidWord  # the single basis-vector flip realizing it
     triple_after: MarkovTriple
 
 
@@ -119,7 +109,7 @@ class VietaMove:
     """
 
     position: int
-    word: str
+    word: BraidWord
     triple_after: MarkovTriple
 
 
@@ -147,17 +137,13 @@ def realize_trace(trace: ReductionTrace) -> bool:
     """Replay the trace as honest vector operations in the ambient form.
 
     Starts from the standard basis of the lattice of trace.start and applies
-    each token as a sign flip or pair mutation; the collection must stay
+    each move's word with apply_braid; the collection must stay
     semiorthonormal and its Gram must hit every recorded waypoint.
     """
     c = SonCollection.standard_basis(trace.start.lattice())
     g = c.gram()
     for move in trace.moves:
-        for token in move.word.split():
-            if token.startswith("F"):
-                c = c.flip_sign(int(token[1:]))
-            else:
-                c = mutate_pair(c, int(token[1:]), token[0])
+        c = apply_braid(c, move.word)
         # one Gram per move, read for both the test and the waypoint
         g = c.gram()
         if not is_unitriangular(g):
@@ -168,16 +154,14 @@ def realize_trace(trace: ReductionTrace) -> bool:
 
 
 def _normalize_signs(t: MarkovTriple) -> tuple[list[Move], MarkovTriple]:
-    negs = [p for p, v in zip((1, 2, 3), t.as_tuple()) if v < 0]
+    # t is a nonzero Markov triple, so abc = a^2 + b^2 + c^2 > 0: no entry is
+    # 0, and none or exactly two are negative
+    negs = tuple(p for p, v in zip((1, 2, 3), t.as_tuple()) if v < 0)
     if not negs:
         return [], t
-    # nonzero Markov triples have abc > 0, so the negative count is even
-    if len(negs) != 2:
-        raise NotMarkov("odd number of negative entries cannot satisfy "
-                        "the Markov equation with nonzero product")
-    word = _FLIP_FOR_PAIR[frozenset(negs)]
+    word = _FLIP_FOR_PAIR[negs]
     after = apply_word(t, word)
-    return [SignFlipMove(tuple(negs), word, after)], after
+    return [SignFlipMove(negs, word, after)], after
 
 
 def reduce_to_canonical(t: MarkovTriple) -> ReductionTrace:

@@ -2,8 +2,8 @@
 
 A collection is an ordered list of lattice vectors whose Gram matrix is upper
 triangular with units on the diagonal.  Left/right mutations of adjacent pairs
-generate a braid group action; per-vector sign flips are kept as a separate
-generator set.
+generate a braid group action, and per-vector sign flips act alongside it;
+`BraidWord` spells both, and `apply_braid` applies them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ class MembershipError(ValueError):
 
 
 Direction = Literal["L", "R"]
+Letter = Literal["L", "R", "F"]
 
 
 def _int_vector(v) -> tuple[int, ...]:
@@ -85,9 +86,15 @@ class SonCollection:
         return self._gram
 
     def flip_sign(self, i: int) -> "SonCollection":
+        _check_flip(i, len(self))
         vs = list(self.vectors)
         vs[i] = tuple(-x for x in vs[i])
         return self._derived(tuple(vs))
+
+
+def _check_flip(i: int, n: int):
+    if not 0 <= i < n:
+        raise IndexError(f"sign flip index {i} out of range 0..{n - 1}")
 
 
 def is_semiorthonormal(c: SonCollection) -> bool:
@@ -186,30 +193,31 @@ def mutate_pair(c: SonCollection, nu: int, direction: Direction) -> SonCollectio
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Word in the generators L_nu / R_nu, applied left to right."""
+    """Word in the mutations L_nu / R_nu (nu >= 1) and the sign flips F_i, which
+    negate e_i (i >= 0), applied left to right."""
 
-    letters: tuple[tuple[int, Direction], ...]
+    letters: tuple[tuple[int, Letter], ...]
 
     @staticmethod
     def parse(text: str) -> "BraidWord":
         letters = []
         for token in text.split():
             d = token[0].upper()
-            if d not in ("L", "R") or not token[1:].isdigit():
+            if d not in ("L", "R", "F") or not token[1:].isdigit():
                 raise ValueError(f"bad braid letter {token!r}")
             nu = int(token[1:])
-            if nu < 1:
+            if nu < 1 and d != "F":
                 raise ValueError(f"braid index must be >= 1 in {token!r}")
             letters.append((nu, d))
         return BraidWord(tuple(letters))
 
     def __str__(self) -> str:
-        return " ".join(f"{d}{nu}" for nu, d in self.letters)
+        return " ".join([f"{d}{nu}" for nu, d in self.letters])
 
 
 def apply_braid(c: SonCollection, word: BraidWord) -> SonCollection:
     for nu, d in word.letters:
-        c = mutate_pair(c, nu, d)
+        c = c.flip_sign(nu) if d == "F" else mutate_pair(c, nu, d)
     return c
 
 
@@ -335,3 +343,9 @@ def _mutate_gram(s: tuple[int, ...], n: int, nu: int,
         for p, q in touched:
             t[p], t[q] = s[q], s[p] - ab * s[q]
     return tuple(t)
+
+
+def _flip_gram(s: tuple[int, ...], n: int, i: int) -> tuple[int, ...]:
+    # Flat state after flipping the sign of e_i: the entries in row and column i negate.
+    _check_flip(i, n)
+    return tuple([-x if i in p else x for p, x in zip(_layout(n)[0], s)])

@@ -91,7 +91,7 @@ def _markov(rng: random.Random) -> int:
     for _ in range(rng.randint(0, 6)):
         t = vieta(t, rng.randint(1, 3))
     if rng.random() < 0.5:
-        t = apply_word(t, rng.choice(["F0", "F1", "F2"]))
+        t = apply_word(t, BraidWord.parse(rng.choice(["F0", "F1", "F2"])))
     return markov_failures(reduce_to_canonical(t))
 
 

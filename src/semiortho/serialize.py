@@ -177,11 +177,11 @@ def encode_trace(trace: ReductionTrace) -> dict:
     for m in trace.moves:
         if isinstance(m, SignFlipMove):
             moves.append({"move": "sign_flip", "positions": list(m.positions),
-                          "word": m.word,
+                          "word": str(m.word),
                           "triple_after": encode_triple(m.triple_after)})
         else:
             moves.append({"move": "vieta", "position": m.position,
-                          "word": m.word,
+                          "word": str(m.word),
                           "triple_after": encode_triple(m.triple_after)})
     return {"start": encode_triple(trace.start), "moves": moves,
             "end": encode_triple(trace.end)}

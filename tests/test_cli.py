@@ -75,6 +75,12 @@ def test_cli_classify(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] == {"type": "type1", "n": 2, "epsilon": 1}
+    # kappa of [[1,1],[0,1]] has char poly x^2 - x + 1, with no rational root
+    code, out, _ = run(capsys, "classify", "--inline", '{"gram":[[1,1],[0,1]]}')
+    assert code == 0 and json.loads(out)["verdict"] == {
+        "type": "irrational_spectrum", "rational_roots": [], "remainder": [1, -1, 1]}
+    code, out, _ = run(capsys, "classify", "--inline", '{"gram":[[0,1],[-1,0]]}')
+    assert code == 0 and json.loads(out)["verdict"] == {"k": 1, "mu": -1, "type": "type2"}
     code, _, err = run(capsys, "classify", "--inline", "{bad json")
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "classify", "--inline", '{"gram":[[2]]}')
@@ -99,6 +105,11 @@ def test_cli_mutate(capsys):
     assert json.loads(out3)["gram"] == [[1, -3, -15], [0, 1, 6], [0, 0, 1]]
     code, _, err = run(capsys, "mutate", "--inline", COLL, "--word", "L9")
     assert code == 1
+    # sign flips count from 0: F0 negates e0 before L1 mutates (e0, e1)
+    code, out4, _ = run(capsys, "mutate", "--inline", COLL, "--word", "F0 L1")
+    assert code == 0 and json.loads(out4)["gram"] == [[1, 3, -15], [0, 1, -6], [0, 0, 1]]
+    assert run(capsys, "mutate", "--inline", COLL, "--word", "F3") == \
+        (1, "", "error: sign flip index 3 out of range 0..2\n")
 
 
 def test_cli_mutate_round_trip(capsys):
@@ -127,6 +138,11 @@ def test_cli_markov(capsys):
     code, out, _ = run(capsys, "markov", "reduce", "3", "6", "15")
     data = json.loads(out)
     assert code == 0 and data["end"] == [3, 3, 3]
+    # each move prints its word as the letters it was parsed from
+    assert run(capsys, "markov", "reduce", "-3", "3", "-6") == (0, (
+        '{"end":[3,3,3],"moves":[{"move":"sign_flip","positions":[1,3],'
+        '"triple_after":[3,3,6],"word":"F1"},{"move":"vieta","position":3,'
+        '"triple_after":[3,3,3],"word":"F1 L1"}],"start":[-3,3,-6]}\n'), "")
     code, _, _ = run(capsys, "markov", "reduce", "1", "1", "1")
     assert code == 1
     code, _, _ = run(capsys, "markov", "reduce", "0", "0", "0")
@@ -349,7 +365,7 @@ def _json_argv(draw):
         text = json.dumps({"ambient": {"gram": gram}, "vectors": vectors})
     argv = [kind, "--inline", text]
     if kind == "mutate":
-        argv += ["--word", draw(st.text(alphabet="LR0123 -x", max_size=8))]
+        argv += ["--word", draw(st.text(alphabet="LRF0123 -x", max_size=8))]
     return argv
 
 

@@ -329,13 +329,13 @@ def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
         assert gram_matrix(n, "adams") == gram_matrix(n, "adams")
 
 
-def test_kappa_matrix_is_kappa_of_the_adams_gram():
+def test_kappa_matrix_is_kappa_of_the_binomial_gram():
     for n in range(13):
         k = kappa_matrix(n)
         assert type(k) is IntMatrix
-        assert k.entries == kappa_of_gram(gram_matrix(n, "adams")).entries
-        # the series kappa_pn(n) acting on the Adams coordinates D^k / k!
-        coords = kappa_pn(n).adams_coords()
+        assert k.entries == kappa_of_gram(gram_matrix(n, "binomial")).entries
+        # the series kappa_pn(n) on the nabla coordinates, the Z-basis gamma_n .. gamma_0
+        coords = kappa_pn(n).nabla_coords()
         assert [row[0] for row in k.entries] == list(coords)
     with pytest.raises(ValueError, match=">= 0"):
         kappa_matrix(-1)

@@ -1,12 +1,13 @@
 """Rank-3 trace criterion, Vieta moves, descent traces, vector replay."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiortho import markov
+from semiortho import mutations
 from semiortho.bilinear_form import BilinearLattice, canonical_operator
 from semiortho.markov import (
     MarkovTriple,
@@ -25,7 +26,7 @@ from semiortho.markov import (
     trace_kappa_rank3,
     vieta,
 )
-from semiortho.mutations import SonCollection, mutate_pair
+from semiortho.mutations import BraidWord, SonCollection, mutate_pair
 from semiortho.properties import markov_failures
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -74,22 +75,22 @@ def test_mutation_letters_match_printed_rules(a, b, c):
     # the Gram-level effect of each letter, computed through the mutation
     # machinery, equals the closed-form rewrite rules
     t = MarkovTriple(a, b, c)
-    assert apply_word(t, "L1") == MarkovTriple(-a, c - a * b, b)
-    assert apply_word(t, "L2") == MarkovTriple(b - a * c, a, -c)
-    assert apply_word(t, "R2") == MarkovTriple(b, a - b * c, -c)
-    assert apply_word(t, "R1") == MarkovTriple(-a, c, b - a * c)
+    assert apply_word(t, BraidWord.parse("L1")) == MarkovTriple(-a, c - a * b, b)
+    assert apply_word(t, BraidWord.parse("L2")) == MarkovTriple(b - a * c, a, -c)
+    assert apply_word(t, BraidWord.parse("R2")) == MarkovTriple(b, a - b * c, -c)
+    assert apply_word(t, BraidWord.parse("R1")) == MarkovTriple(-a, c, b - a * c)
     # mutation letters invert pairwise
     for w, winv in (("L1", "R1"), ("L2", "R2")):
-        assert apply_word(apply_word(t, w), winv) == t
+        assert apply_word(apply_word(t, BraidWord.parse(w)), BraidWord.parse(winv)) == t
 
 
 def test_apply_word_flips():
     t = MarkovTriple(1, 2, 3)
-    assert apply_word(t, "F0") == MarkovTriple(-1, -2, 3)
-    assert apply_word(t, "F1") == MarkovTriple(-1, 2, -3)
-    assert apply_word(t, "F2") == MarkovTriple(1, -2, -3)
+    assert apply_word(t, BraidWord.parse("F0")) == MarkovTriple(-1, -2, 3)
+    assert apply_word(t, BraidWord.parse("F1")) == MarkovTriple(-1, 2, -3)
+    assert apply_word(t, BraidWord.parse("F2")) == MarkovTriple(1, -2, -3)
     with pytest.raises(ValueError):
-        apply_word(t, "Q7")
+        BraidWord.parse("Q7")
 
 
 def test_reduction_examples():
@@ -117,7 +118,7 @@ def test_reduction_random_walks():
         for _ in range(rng.randint(0, 9)):
             t = vieta(t, rng.randint(1, 3))
         if rng.random() < 0.5:
-            t = apply_word(t, rng.choice(["F0", "F1", "F2"]))
+            t = apply_word(t, BraidWord.parse(rng.choice(["F0", "F1", "F2"])))
         tr = reduce_to_canonical(t)
         assert tr.start == t and markov_failures(tr) == 0
         # every Vieta move preserves the Markov invariant
@@ -130,6 +131,11 @@ def test_replay_rejects_tampered_trace():
     bad = ReductionTrace(tr.start, tr.moves, MarkovTriple(3, 3, 6))
     assert not replay_trace(bad)
     assert not realize_trace(bad)
+    # a tampered waypoint fails at its move, before the end is read
+    moves = (replace(tr.moves[0], triple_after=MarkovTriple(3, 3, 3)),) + tr.moves[1:]
+    bad = ReductionTrace(tr.start, moves, tr.end)
+    assert not replay_trace(bad)
+    assert not realize_trace(bad)
 
 
 def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(monkeypatch):
@@ -140,7 +146,7 @@ def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(mon
         calls.append(nu)
         return mutate_pair(c, nu, d)
 
-    monkeypatch.setattr(markov, "mutate_pair", counted)
+    monkeypatch.setattr(mutations, "mutate_pair", counted)
     assert realize_trace(tr)
     last = len(calls)
     calls.clear()
@@ -160,7 +166,7 @@ def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(mon
         object.__setattr__(c, "vectors", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         return c
 
-    monkeypatch.setattr(markov, "mutate_pair", broken)
+    monkeypatch.setattr(mutations, "mutate_pair", broken)
     assert not realize_trace(tr)
     assert len(calls) == last
 

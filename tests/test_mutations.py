@@ -15,6 +15,7 @@ from semiortho.mutations import (
     InadmissibleError,
     MembershipError,
     SonCollection,
+    _flip_gram,
     _mutate_gram,
     _sign_canonical,
     collection_height,
@@ -55,6 +56,12 @@ def test_standard_basis_and_gram():
     flipped = c.flip_sign(0)
     g = flipped.gram()
     assert (g[0, 1], g[0, 2], g[1, 2]) == (-3, -6, 3)
+    # a sign flip counts its index from 0 and takes no index from the end
+    for i in (-1, 3):
+        with pytest.raises(IndexError, match=f"sign flip index {i} out of range 0..2"):
+            c.flip_sign(i)
+        with pytest.raises(IndexError, match=f"sign flip index {i} out of range 0..2"):
+            _flip_gram((3, 6, 3), 3, i)
 
 
 def test_son_collection_checks_semiorthonormality():
@@ -208,7 +215,10 @@ def test_braid_word_parsing():
     w = BraidWord.parse("L1 R2  l3")
     assert str(w) == "L1 R2 L3"
     assert BraidWord.parse("").letters == ()
-    for bad in ("X1", "L0", "L", "L1a"):
+    # sign flips count from 0, mutations from 1
+    w = BraidWord.parse("F0 R1 F2")
+    assert w.letters == ((0, "F"), (1, "R"), (2, "F")) and str(w) == "F0 R1 F2"
+    for bad in ("X1", "L0", "L", "L1a", "F", "Fx"):
         with pytest.raises(ValueError):
             BraidWord.parse(bad)
 
@@ -399,6 +409,8 @@ def test_mutate_gram_matches_mutated_collection():
                 mutated = mutate_pair(c, nu, d).gram().entries
                 assert _mutate_gram(_flat(g), n, nu, d) == _flat(mutated)
                 assert _full_mutate_gram(g, nu, d) == mutated
+        for i in range(n):
+            assert _flip_gram(_flat(g), n, i) == _flat(c.flip_sign(i).gram().entries)
 
 
 def test_orbit_search_matches_full_matrix_reference():

@@ -45,6 +45,43 @@ def test_unused_import_check_sees_a_planted_import():
     assert _unused_imports(tree) == {"os", "osp"}
 
 
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _unread_private_names(trees) -> set[tuple[str, str]]:
+    """Module-level names with one leading underscore that no other top-level
+    statement of any of the modules reads, by name or as an attribute."""
+    stmts = [(path, stmt) for path, tree in trees for stmt in tree.body]
+    reads = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)}
+             | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+             for _, stmt in stmts]
+    return {(path, name) for k, (path, stmt) in enumerate(stmts)
+            for name in _defined_names(stmt)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != k)}
+
+
+def test_every_private_module_name_is_read():
+    src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
+    assert _unread_private_names(src) == set()
+
+
+def test_private_name_check_sees_a_planted_orphan():
+    a = ast.parse("__all__ = []\n_USED = 1\n_ORPHAN, _PAIRED = 2, 3\n_typed: int = 4\n"
+                  "def _recursive(x):\n    return _recursive(x - 1)\n"
+                  "def _called():\n    return _USED + _PAIRED\n"
+                  "class _Shape:\n    pass\n")
+    b = ast.parse("import a\nfrom a import _called\nx = _called(a._Shape)\n")
+    assert _unread_private_names([("a.py", a), ("b.py", b)]) == {
+        ("a.py", "_ORPHAN"), ("a.py", "_typed"), ("a.py", "_recursive")}
+
+
 def _cli_reads(tree: ast.Module) -> set[str]:
     """Names taken from semiortho.cli, by import or as attributes of the module; a
     monkeypatch target named in a string is not a read."""
