@@ -50,8 +50,7 @@ class NumPoly:
     @staticmethod
     def from_coords(n: int, coords) -> "NumPoly":
         cs = [exact_int(c) for c in coords]
-        if len(cs) > n + 1:
-            raise ValueError("too many coordinates")
+        check_truncation(n, len(cs))
         cs += [0] * (n + 1 - len(cs))
         return NumPoly(n, tuple(cs))
 

@@ -14,8 +14,8 @@ from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
-from .mutations import (BraidWord, SonCollection, _flip_gram, _mutate_gram, apply_braid,
-                        is_unitriangular)
+from .mutations import (BraidWord, SonCollection, _check_letter, _flip_gram, _mutate_gram,
+                        apply_braid, is_unitriangular)
 
 
 class NotMarkov(ValueError):
@@ -87,6 +87,7 @@ def apply_word(t: MarkovTriple, word: BraidWord) -> MarkovTriple:
     """The triple after the word's letters act on the flat state (a, b, c)."""
     cur = t.as_tuple()
     for nu, d in word.letters:
+        _check_letter(nu, d, 3)
         cur = _flip_gram(cur, 3, nu) if d == "F" else _mutate_gram(cur, 3, nu, d)
     return MarkovTriple(*cur)
 

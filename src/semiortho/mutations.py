@@ -29,12 +29,9 @@ Direction = Literal["L", "R"]
 Letter = Literal["L", "R", "F"]
 
 
-def _int_vector(v) -> tuple[int, ...]:
-    return tuple(exact_int(x) for x in v)
-
-
 def _ambient_vector(ambient: BilinearLattice, v) -> tuple[int, ...]:
-    v = _int_vector(v)
+    # a non-integral entry raises ValueError, a vector of the wrong length ShapeError
+    v = tuple(exact_int(x) for x in v)
     if len(v) != ambient.rank:
         raise ShapeError("vector length must equal ambient rank")
     return v
@@ -54,7 +51,6 @@ class SonCollection:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # a non-integral entry raises ValueError, a vector of the wrong length ShapeError
         object.__setattr__(self, "vectors",
                            tuple(_ambient_vector(self.ambient, v) for v in self.vectors))
         if not is_semiorthonormal(self):
@@ -67,10 +63,6 @@ class SonCollection:
         object.__setattr__(c, "ambient", self.ambient)
         object.__setattr__(c, "vectors", vectors)
         return c
-
-    @staticmethod
-    def from_vectors(ambient: BilinearLattice, vectors) -> "SonCollection":
-        return SonCollection(ambient, tuple(vectors))
 
     @staticmethod
     def standard_basis(ambient: BilinearLattice) -> "SonCollection":
@@ -86,15 +78,20 @@ class SonCollection:
         return self._gram
 
     def flip_sign(self, i: int) -> "SonCollection":
-        _check_flip(i, len(self))
+        _check_letter(i, "F", len(self))
         vs = list(self.vectors)
         vs[i] = tuple(-x for x in vs[i])
         return self._derived(tuple(vs))
 
 
-def _check_flip(i: int, n: int):
-    if not 0 <= i < n:
-        raise IndexError(f"sign flip index {i} out of range 0..{n - 1}")
+def _check_letter(nu: int, d: str, n: int, letters: tuple[str, ...] = ("L", "R", "F")):
+    """Raise unless the letter d<nu> is one of `letters` and acts on n vectors:
+    a mutation L/R needs 1 <= nu <= n-1, a sign flip F needs 0 <= nu <= n-1."""
+    if d not in letters:
+        raise ValueError(f"unknown direction {d!r}")
+    low, kind = (0, "sign flip") if d == "F" else (1, "mutation")
+    if not low <= nu < n:
+        raise IndexError(f"{kind} index {nu} out of range {low}..{n - 1}")
 
 
 def is_semiorthonormal(c: SonCollection) -> bool:
@@ -111,7 +108,8 @@ def is_unitriangular(gram: IntMatrix) -> bool:
 class AdmissibleSubmodule:
     """Submodule spanned by given basis vectors, with unimodular restricted form.
 
-    `form` is the restricted form, built and checked on construction.
+    Construction checks the basis vectors as `SonCollection` checks its own and
+    builds and checks `form`, the restricted form.
     """
 
     ambient: BilinearLattice
@@ -119,15 +117,13 @@ class AdmissibleSubmodule:
     form: BilinearLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "basis",
+                           tuple(_ambient_vector(self.ambient, v) for v in self.basis))
         try:
             form = BilinearLattice(restricted_gram(self.ambient, self.basis))
         except UnimodularityError:
             raise InadmissibleError("restricted Gram is not unimodular") from None
         object.__setattr__(self, "form", form)
-
-    @staticmethod
-    def from_basis(ambient: BilinearLattice, basis) -> "AdmissibleSubmodule":
-        return AdmissibleSubmodule(ambient, tuple(map(_int_vector, basis)))
 
     def basis_matrix(self) -> IntMatrix:
         """Columns are the basis vectors in ambient coordinates (rank x 0 for no basis)."""
@@ -175,17 +171,14 @@ def mutate_pair(c: SonCollection, nu: int, direction: Direction) -> SonCollectio
 
     L(a,b) = (b - <a,b> a, a) and R(a,b) = (b, a - <a,b> b).
     """
-    if not 1 <= nu <= len(c) - 1:
-        raise IndexError(f"mutation index {nu} out of range 1..{len(c) - 1}")
+    _check_letter(nu, direction, len(c), ("L", "R"))
     a = c.vectors[nu - 1]
     b = c.vectors[nu]
     ab = pair(c.ambient, a, b)
     if direction == "L":
         new = (tuple(x - ab * y for x, y in zip(b, a)), a)
-    elif direction == "R":
-        new = (b, tuple(x - ab * y for x, y in zip(a, b)))
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        new = (b, tuple(x - ab * y for x, y in zip(a, b)))
     vs = list(c.vectors)
     vs[nu - 1], vs[nu] = new
     return c._derived(tuple(vs))
@@ -203,7 +196,8 @@ class BraidWord:
         letters = []
         for token in text.split():
             d = token[0].upper()
-            if d not in ("L", "R", "F") or not token[1:].isdigit():
+            # ASCII digits only: str.isdigit alone admits "²" and "١"
+            if d not in ("L", "R", "F") or not (token.isascii() and token[1:].isdigit()):
                 raise ValueError(f"bad braid letter {token!r}")
             nu = int(token[1:])
             if nu < 1 and d != "F":
@@ -329,6 +323,7 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
 
 def _mutate_gram(s: tuple[int, ...], n: int, nu: int,
                  direction: Direction) -> tuple[int, ...]:
+    # Unchecked: nu in 1..n-1 and direction L or R (see _check_letter).
     # Flat state after mutating the pair (e_{nu-1}, e_nu): only the entries
     # above and right of the pair and ab = g[nu-1][nu] itself, which becomes -ab,
     # move.  L: (a,b) -> (b - ab a, a); R: (a,b) -> (b, a - ab b).
@@ -346,6 +341,6 @@ def _mutate_gram(s: tuple[int, ...], n: int, nu: int,
 
 
 def _flip_gram(s: tuple[int, ...], n: int, i: int) -> tuple[int, ...]:
+    # Unchecked: i in 0..n-1 (see _check_letter).
     # Flat state after flipping the sign of e_i: the entries in row and column i negate.
-    _check_flip(i, n)
     return tuple([-x if i in p else x for p, x in zip(_layout(n)[0], s)])

@@ -131,7 +131,7 @@ def decode_collection(v) -> SonCollection:
     vectors = [[decode_int(x) for x in row] for row in _matrix_rows(v["vectors"])] \
         if v["vectors"] else []
     try:
-        return SonCollection.from_vectors(ambient, vectors)
+        return SonCollection(ambient, vectors)
     except ValueError as e:
         raise InputFormatError(str(e)) from None
 

@@ -58,7 +58,7 @@ def test_one_inverse_per_form(monkeypatch):
         coupling = IntMatrix.from_rows([[1, 0], [2, -1], [0, 3]])
         bilinear_form.sum_projections(l1, l2, coupling)
         assert t.calls["exact_linalg.inverse_unimodular"] == 2
-        u = mutations.AdmissibleSubmodule.from_basis(l1, [(0, 1, 0)])
+        u = mutations.AdmissibleSubmodule(l1, [(0, 1, 0)])
         v = (1, -3, 1)  # <e1, v> = 0: in the right orthogonal of U
         mutations.right_projection(u, v)
         mutations.left_projection(u, v)

@@ -110,6 +110,8 @@ def test_cli_mutate(capsys):
     assert code == 0 and json.loads(out4)["gram"] == [[1, 3, -15], [0, 1, -6], [0, 0, 1]]
     assert run(capsys, "mutate", "--inline", COLL, "--word", "F3") == \
         (1, "", "error: sign flip index 3 out of range 0..2\n")
+    assert run(capsys, "mutate", "--inline", COLL, "--word", "L\u00b2") == \
+        (1, "", "error: bad braid letter 'L\u00b2'\n")
 
 
 def test_cli_mutate_round_trip(capsys):

@@ -252,6 +252,10 @@ def test_integrality():
     with pytest.raises(ValueError, match="integer"):
         NumPoly.from_coords(2, [F(1, 2)])
     assert NumPoly.from_coords(2, [F(4, 2)]).coords == (2, 0, 0)
+    # the truncation check of DSeries.from_coeffs, not a poly with no coordinates
+    for make in (NumPoly.from_coords, DSeries.from_coeffs):
+        with pytest.raises(ValueError, match="truncation order n must be >= 0, got -1"):
+            make(-1, [])
     for n in (2, 3):
         for k in range(n + 1):
             nabk = _basis_series(n, "binomial")[k]

@@ -26,7 +26,7 @@ from semiortho.markov import (
     trace_kappa_rank3,
     vieta,
 )
-from semiortho.mutations import BraidWord, SonCollection, mutate_pair
+from semiortho.mutations import BraidWord, SonCollection, apply_braid, mutate_pair
 from semiortho.properties import markov_failures
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -91,6 +91,44 @@ def test_apply_word_flips():
     assert apply_word(t, BraidWord.parse("F2")) == MarkovTriple(1, -2, -3)
     with pytest.raises(ValueError):
         BraidWord.parse("Q7")
+    # the triple checks a letter against rank 3 as the vectors do
+    with pytest.raises(IndexError, match="sign flip index 3 out of range 0..2"):
+        apply_word(t, BraidWord.parse("F3"))
+    with pytest.raises(IndexError, match="mutation index 3 out of range 1..2"):
+        apply_word(MarkovTriple(3, 3, 3), BraidWord.parse("L3"))
+
+
+def _outcome(run):
+    """The value of run(), or the type and message of the error it raises."""
+    try:
+        return run()
+    except (ValueError, IndexError) as e:
+        return type(e), str(e)
+
+
+def _vector_triple(t, w):
+    g = apply_braid(SonCollection.standard_basis(t.lattice()), w).gram()
+    return g[0, 1], g[0, 2], g[1, 2]
+
+
+def test_flat_and_vector_interpreters_agree_on_every_word():
+    # letters outside the rank or the alphabet included: both refuse them alike
+    rng = random.Random(16)
+    letters = [(nu, d) for d in "LRF" for nu in range(-1, 4)]
+    seen = set()
+    for _ in range(150):
+        t = MarkovTriple(3, 3, 3)
+        for _ in range(rng.randint(0, 4)):
+            t = vieta(t, rng.randint(1, 3))
+        a, b, c = t.as_tuple()
+        t = rng.choice([t, MarkovTriple(-a, -b, c), MarkovTriple(a, -b, -c), MarkovTriple(0, 0, 0)])
+        words = [BraidWord(tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+                 for _ in range(6)] + [BraidWord(((1, "X"),))]
+        for w in words:
+            flat = _outcome(lambda: apply_word(t, w).as_tuple())
+            assert flat == _outcome(lambda: _vector_triple(t, w)), (t, str(w))
+            seen.add(flat[0] if isinstance(flat[0], type) else "triple")
+    assert seen == {"triple", ValueError, IndexError}
 
 
 def test_reduction_examples():
