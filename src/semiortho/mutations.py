@@ -91,6 +91,9 @@ def _check_letter(nu: int, d: str, n: int, letters: tuple[str, ...] = ("L", "R",
         raise ValueError(f"unknown direction {d!r}")
     low, kind = (0, "sign flip") if d == "F" else (1, "mutation")
     if not low <= nu < n:
+        if low >= n:
+            raise IndexError(f"{kind} index {nu} out of range: no {kind} acts on "
+                             f"{n} vector{'' if n == 1 else 's'}")
         raise IndexError(f"{kind} index {nu} out of range {low}..{n - 1}")
 
 
@@ -282,6 +285,11 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
     canonicalized to the lex-least representative over sign flips.  A state
     whose height, max |Gram entry| with the unit diagonal, exceeds the bound
     is not expanded; hitting either bound flags the report as truncated.
+    The search stops at the first new state the node cap refuses, since no
+    state can join the orbit after it; "height" then also flags any state
+    still queued above the bound.  A state is not mutated back along the
+    move that made it: a mutation of a sign flip is a sign flip of the
+    mutation, so that move always returns to a state already seen.
     The search starts from one Gram of c, which is unitriangular because c
     is a SonCollection.
     """
@@ -293,26 +301,32 @@ def orbit_search(c: SonCollection, height_bound: int, max_nodes: int) -> OrbitRe
     target = n == 3 and _sign_canonical(tuple(MARKOV_CANONICAL_GRAM[i][j] for i, j in pairs), 3)
     start = _sign_canonical(tuple(g[i][j] for i, j in pairs), n)
     seen = {start}
-    queue = deque([start])
+    # each state is queued with the index in `moves` of the move that undoes
+    # the one that made it: L<nu> and R<nu> are inverse and sit at k and k ^ 1
+    queue = deque([(start, -1)])
     truncated_by = set()
     limit = height_bound if height_bound >= min(n, 1) else -1  # the diagonal is 1 high
     moves = [(nu, d, f"{d}{nu}") for nu in range(1, n) for d in ("L", "R")]
     used: set[str] = set()
-    while queue:
-        s = queue.popleft()
-        if collection_height((s,)) > limit:
+    while queue and "node_cap" not in truncated_by:
+        s, back = queue.popleft()
+        if max(map(abs, s), default=0) > limit:
             truncated_by.add("height")
             continue
-        for nu, d, name in moves:
+        for k, (nu, d, name) in enumerate(moves):
+            if k == back:
+                continue
             t = _sign_canonical(_mutate_gram(s, n, nu, d), n)
             if t in seen:
                 continue
             if len(seen) >= max_nodes:
                 truncated_by.add("node_cap")
-                continue
+                break
             seen.add(t)
             used.add(name)
-            queue.append(t)
+            queue.append((t, k ^ 1))
+    if any(max(map(abs, s), default=0) > limit for s, _ in queue):
+        truncated_by.add("height")  # what popping the rest of the queue would have flagged
     flat = iter(min(seen))
     canonical = tuple(tuple(1 if j == i else next(flat) if j > i else 0 for j in range(n))
                       for i in range(n))

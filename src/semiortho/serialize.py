@@ -11,6 +11,7 @@ and `encode_trace` have none yet.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .bilinear_form import BilinearLattice
@@ -26,6 +27,10 @@ from .markov import MarkovTriple, ReductionTrace, SignFlipMove
 from .mutations import OrbitReport, SonCollection
 
 _SAFE = 1 << 53
+# the literals the encoders write; int() and Fraction() also take "1_000",
+# " 5 ", non-ASCII digits and "1e3"
+_INT = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class InputFormatError(ValueError):
@@ -45,11 +50,15 @@ def encode_int(x: int):
 
 
 def decode_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    if type(v) is int:  # not a bool, which is an int subclass
+        return v
+    if not isinstance(v, str):
         raise InputFormatError(f"expected integer, got {v!r}")
+    if not _INT.fullmatch(v):
+        raise InputFormatError(f"bad integer literal {v!r}")
     try:
         return int(v)
-    except ValueError:
+    except ValueError:  # over sys.get_int_max_str_digits()
         raise InputFormatError(f"bad integer literal {v!r}") from None
 
 
@@ -68,6 +77,8 @@ def decode_number(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise InputFormatError(f"bad number literal {v!r}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

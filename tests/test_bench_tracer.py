@@ -135,9 +135,11 @@ def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     finally:
         t.uninstall()
     capsys.readouterr()
-    assert t.counters["orbit.attempts"] == 200
-    assert t.calls["mutations._mutate_gram"] == 200
-    assert t.calls["mutations._sign_canonical"] == 202  # plus the start and the Markov target
+    # the search stops at the first state the cap refuses and never mutates a
+    # state back along the move that made it
+    assert t.counters["orbit.attempts"] == 73
+    assert t.calls["mutations._mutate_gram"] == 73
+    assert t.calls["mutations._sign_canonical"] == 75  # plus the start and the Markov target
     assert t.calls["mutations.SonCollection.gram"] == 2  # checked at construction, searched from once
     assert t.calls["bilinear_form.pair"] == 9  # the one 3x3 Gram, kept by the collection
     assert t.counters["mutations.orbit_search.nodes"] == 50

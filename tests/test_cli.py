@@ -37,9 +37,24 @@ def test_number_encoding():
     assert serialize.encode_number(Fraction(3, 2)) == "3/2"
     assert serialize.encode_number(Fraction(4, 2)) == 2
     assert serialize.decode_number("3/2") == Fraction(3, 2)
-    for bad in (True, "x/y", 1.5, None):
+    assert serialize.decode_number("-4/6") == Fraction(-2, 3)
+    assert serialize.decode_number("+7") == 7 and serialize.decode_int("-0") == 0
+    for bad in (True, "x/y", 1.5, None, "1/0"):
         with pytest.raises(InputFormatError):
             serialize.decode_number(bad)
+    # only the literals the encoders write: ASCII [+-]?[0-9]+, and p/q for numbers;
+    # int() and Fraction() also take underscores, spaces, other digits and exponents
+    for bad in ("1_000", " 5 ", "5\n", "\u0661\u0662", "", "+", "0x10", "1.0", "\u00b2"):
+        with pytest.raises(InputFormatError):
+            serialize.decode_int(bad)
+        with pytest.raises(InputFormatError):
+            serialize.decode_number(bad)
+    for bad in ("1e3", "\u0661/\u0662", "1/-2", "1/+2", " 1/2", "1 / 2", "1/2/3", "/2", "1/", "1.5/2"):
+        with pytest.raises(InputFormatError):
+            serialize.decode_number(bad)
+    for bad in ("3/2", True, 1.0, None):
+        with pytest.raises(InputFormatError):
+            serialize.decode_int(bad)
 
 
 def test_matrix_round_trip():
@@ -112,6 +127,13 @@ def test_cli_mutate(capsys):
         (1, "", "error: sign flip index 3 out of range 0..2\n")
     assert run(capsys, "mutate", "--inline", COLL, "--word", "L\u00b2") == \
         (1, "", "error: bad braid letter 'L\u00b2'\n")
+    # a collection too small for any letter of a kind says so by its size
+    empty = '{"ambient":{"rank":0,"gram":[]},"vectors":[]}'
+    assert run(capsys, "mutate", "--inline", empty, "--word", "F0") == \
+        (1, "", "error: sign flip index 0 out of range: no sign flip acts on 0 vectors\n")
+    single = '{"ambient":{"rank":2,"gram":[[1,0],[0,1]]},"vectors":[[1,0]]}'
+    assert run(capsys, "mutate", "--inline", single, "--word", "L1") == \
+        (1, "", "error: mutation index 1 out of range: no mutation acts on 1 vector\n")
 
 
 def test_cli_mutate_round_trip(capsys):

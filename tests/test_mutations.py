@@ -449,3 +449,22 @@ def test_orbit_report_truncation_reasons():
     assert orbit_search(short, height_bound=5, max_nodes=10).truncated_by == ()
     assert orbit_search(twist, 10**30, 50).truncated_by == ("node_cap",)
     assert orbit_search(twist, 1000, 50).truncated_by == ("height", "node_cap")
+    # a cap of 2 takes L1's state, 15 high, and refuses R1's: the search stops
+    # there, so "height" must come from the state still queued
+    assert orbit_search(twist, 6, 2).truncated_by == ("height", "node_cap")
+
+
+def test_mutation_back_returns_to_the_sign_canonical_state():
+    # L<nu>(sigma e) = sigma' L<nu>(e), sigma' being sigma with positions nu-1
+    # and nu swapped, so undoing a mutation of the canonical state lands on
+    # its sign class: the move `orbit_search` never retries
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        s = _flat(random_son_gram(rng, n, bound=rng.choice((1, 3, 20))).entries)
+        home = _sign_canonical(s, n)
+        for state in (s, home):
+            for nu in range(1, n):
+                for d, back in (("L", "R"), ("R", "L")):
+                    t = _sign_canonical(_mutate_gram(state, n, nu, d), n)
+                    assert _sign_canonical(_mutate_gram(t, n, nu, back), n) == home, (s, nu, d)
