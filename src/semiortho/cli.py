@@ -142,6 +142,15 @@ def cmd_verify(args) -> int:
     return 0 if passed else 2
 
 
+def _integer(text: str) -> int:
+    """A command-line integer, read as a JSON integer literal: ASCII [+-]?[0-9]+.
+    int() alone also takes non-ASCII digits, "_" and surrounding spaces."""
+    try:
+        return serialize.decode_int(text)
+    except InputFormatError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """A malformed command line is malformed input: exit 1 through main, not 2."""
 
@@ -176,34 +185,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("k0", help="projective-space lattice computations")
     k0sub = p.add_subparsers(dest="k0cmd", required=True)
     g = k0sub.add_parser("gram")
-    g.add_argument("-n", type=int, required=True)
+    g.add_argument("-n", type=_integer, required=True)
     g.add_argument("--basis", choices=BASES, default="adams")
     g.set_defaults(func=cmd_k0_gram)
     g = k0sub.add_parser("rank")
     add_input(g)
-    g.add_argument("-n", type=int, default=None)
+    g.add_argument("-n", type=_integer, default=None)
     g.set_defaults(func=cmd_k0_rank)
     g = k0sub.add_parser("classify")
-    g.add_argument("-n", type=int, required=True)
+    g.add_argument("-n", type=_integer, required=True)
     g.add_argument("--basis", choices=BASES, default="twists")
     g.set_defaults(func=cmd_k0_classify)
 
     p = sub.add_parser("markov", help="rank-3 Markov triples")
     p.add_argument("subcmd", choices=("check", "reduce"))
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("a", type=_integer)
+    p.add_argument("b", type=_integer)
+    p.add_argument("c", type=_integer)
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("orbit", help="search the mutation orbit of a collection")
     add_input(p)
-    p.add_argument("--height-bound", type=int, default=100)
-    p.add_argument("--max-nodes", type=int, default=100000)
+    p.add_argument("--height-bound", type=_integer, default=100)
+    p.add_argument("--max-nodes", type=_integer, default=100000)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", choices=sorted(properties.SUITES) + ["all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,7 +10,6 @@ Vieta moves.  Each abstract move is realized as explicit basis operations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .bilinear_form import BilinearLattice, canonical_operator
 from .exact_linalg import IntMatrix
@@ -71,16 +70,16 @@ def vieta(t: MarkovTriple, pos: int) -> MarkovTriple:
     raise ValueError(f"position must be 1, 2 or 3, got {pos}")
 
 
-# Words act on a rank-3 collection, left to right, and are parsed once here.
-# The flip of one vector negates two entries of the triple.
-_FLIP_FOR_PAIR = {(1, 2): BraidWord.parse("F0"), (1, 3): BraidWord.parse("F1"),
-                  (2, 3): BraidWord.parse("F2")}
-
-# Realization of the Vieta move at each position.  A mutation letter always
-# combines a Vieta-type substitution with a transposition of neighbours, so
-# the realized triple is the pure Vieta result with two entries swapped.
-_VIETA_WORD = {1: BraidWord.parse("F1 R2"), 2: BraidWord.parse("F0 R1"),
-               3: BraidWord.parse("F1 L1")}
+# The word of each descent move, parsed once; words act on a rank-3 collection,
+# left to right.  Flipping one vector negates two entries of the triple.  A
+# mutation letter combines a Vieta substitution with a swap of neighbours, so
+# a Vieta word realizes the substitution with two entries swapped.
+MOVE_WORDS = {("sign_flip", (1, 2)): BraidWord.parse("F0"),
+              ("sign_flip", (1, 3)): BraidWord.parse("F1"),
+              ("sign_flip", (2, 3)): BraidWord.parse("F2"),
+              ("vieta", (1,)): BraidWord.parse("F1 R2"),
+              ("vieta", (2,)): BraidWord.parse("F0 R1"),
+              ("vieta", (3,)): BraidWord.parse("F1 L1")}
 
 
 def apply_word(t: MarkovTriple, word: BraidWord) -> MarkovTriple:
@@ -93,28 +92,20 @@ def apply_word(t: MarkovTriple, word: BraidWord) -> MarkovTriple:
 
 
 @dataclass(frozen=True)
-class SignFlipMove:
-    """Procedure flipping the signs of two triple entries at once."""
+class Move:
+    """One descent step: kind "sign_flip" negates the two entries at positions,
+    kind "vieta" substitutes the one entry at positions; triple_after is the
+    triple its word realizes."""
 
-    positions: tuple[int, int]
-    word: BraidWord  # the single basis-vector flip realizing it
-    triple_after: MarkovTriple
-
-
-@dataclass(frozen=True)
-class VietaMove:
-    """Vieta substitution at one position, realized by basis operations.
-
-    The realization permutes two entries in addition to the substitution;
-    triple_after records the realized result.
-    """
-
-    position: int
+    kind: str
+    positions: tuple[int, ...]
     word: BraidWord
     triple_after: MarkovTriple
 
 
-Move = Union[SignFlipMove, VietaMove]
+def _move(t: MarkovTriple, kind: str, positions: tuple[int, ...]) -> Move:
+    word = MOVE_WORDS[kind, positions]
+    return Move(kind, positions, word, apply_word(t, word))
 
 
 @dataclass(frozen=True)
@@ -154,43 +145,34 @@ def realize_trace(trace: ReductionTrace) -> bool:
     return (g[0, 1], g[0, 2], g[1, 2]) == trace.end.as_tuple()
 
 
-def _normalize_signs(t: MarkovTriple) -> tuple[list[Move], MarkovTriple]:
-    # t is a nonzero Markov triple, so abc = a^2 + b^2 + c^2 > 0: no entry is
-    # 0, and none or exactly two are negative
-    negs = tuple(p for p, v in zip((1, 2, 3), t.as_tuple()) if v < 0)
-    if not negs:
-        return [], t
-    word = _FLIP_FOR_PAIR[negs]
-    after = apply_word(t, word)
-    return [SignFlipMove(negs, word, after)], after
-
-
 def reduce_to_canonical(t: MarkovTriple) -> ReductionTrace:
     """Descend a nonzero Markov triple to (3,3,3) by greedy Vieta moves.
 
-    Sign normalization first, then repeatedly apply the Vieta move that
-    strictly decreases the maximum entry (lowest position on ties).  Every
+    Sign normalization first, then repeatedly apply the Vieta move at the
+    largest entry, the one move that strictly decreases the maximum.  Every
     move carries its basis-operation word; see realize_trace.
     """
     if not is_markov(t):
         raise NotMarkov(f"{t.as_tuple()} does not satisfy a^2+b^2+c^2 = abc")
     if t.as_tuple() == (0, 0, 0):
         raise ZeroTriple("the zero solution is the identity form, not type 1")
-    moves, cur = _normalize_signs(t)
+    # t is a nonzero Markov triple, so abc = a^2 + b^2 + c^2 > 0: no entry is
+    # 0, and none or exactly two are negative
+    negs = tuple(p for p, v in zip((1, 2, 3), t.as_tuple()) if v < 0)
+    moves = [_move(t, "sign_flip", negs)] if negs else []
+    cur = moves[-1].triple_after if moves else t
     while cur.as_tuple() != (3, 3, 3):
-        best = None
-        for pos in (1, 2, 3):
-            cand = vieta(cur, pos)
-            if cand.max_abs() < cur.max_abs():
-                best = pos
-                break
-        if best is None:
+        # entries are >= 3: below the maximum M the new entry yz - x >= 3M - M
+        # exceeds M, and at M it is (x^2 + y^2)/M < M, M being tied only at (3,3,3)
+        best = 1 + cur.as_tuple().index(cur.max_abs())
+        pure = vieta(cur, best)
+        if pure.max_abs() >= cur.max_abs():
             raise AssertionError(f"descent stuck at {cur.as_tuple()}")
-        word = _VIETA_WORD[best]
-        after = apply_word(cur, word)
-        assert sorted(after.as_tuple()) == sorted(vieta(cur, best).as_tuple())
-        moves.append(VietaMove(best, word, after))
-        cur = after
+        move = _move(cur, "vieta", (best,))
+        assert sorted(move.triple_after.as_tuple()) == sorted(pure.as_tuple()), \
+            f"word {move.word} realized {move.triple_after.as_tuple()}, not {pure.as_tuple()}"
+        moves.append(move)
+        cur = move.triple_after
     return ReductionTrace(t, tuple(moves), cur)
 
 

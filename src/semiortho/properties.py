@@ -12,7 +12,7 @@ from .bilinear_form import (BilinearLattice, canonical_operator, extension_trace
                             is_isometry, verify_canmatr)
 from .exact_linalg import IntMatrix
 from .k0_pn import DSeries, hilbert_pairing, sigma_pairing
-from .markov import (MarkovTriple, ReductionTrace, apply_word, realize_trace,
+from .markov import (MOVE_WORDS, MarkovTriple, ReductionTrace, apply_word, realize_trace,
                      reduce_to_canonical, replay_trace, vieta)
 from .mutations import BraidWord, SonCollection, apply_braid
 
@@ -91,7 +91,7 @@ def _markov(rng: random.Random) -> int:
     for _ in range(rng.randint(0, 6)):
         t = vieta(t, rng.randint(1, 3))
     if rng.random() < 0.5:
-        t = apply_word(t, BraidWord.parse(rng.choice(["F0", "F1", "F2"])))
+        t = apply_word(t, MOVE_WORDS["sign_flip", rng.choice([(1, 2), (1, 3), (2, 3)])])
     return markov_failures(reduce_to_canonical(t))
 
 

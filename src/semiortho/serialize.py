@@ -23,7 +23,7 @@ from .classification import (
     Type2,
 )
 from .exact_linalg import IntMatrix, RatMatrix
-from .markov import MarkovTriple, ReductionTrace, SignFlipMove
+from .markov import MarkovTriple, ReductionTrace
 from .mutations import OrbitReport, SonCollection
 
 _SAFE = 1 << 53
@@ -186,14 +186,11 @@ def encode_triple(t: MarkovTriple) -> list:
 def encode_trace(trace: ReductionTrace) -> dict:
     moves = []
     for m in trace.moves:
-        if isinstance(m, SignFlipMove):
-            moves.append({"move": "sign_flip", "positions": list(m.positions),
-                          "word": str(m.word),
-                          "triple_after": encode_triple(m.triple_after)})
-        else:
-            moves.append({"move": "vieta", "position": m.position,
-                          "word": str(m.word),
-                          "triple_after": encode_triple(m.triple_after)})
+        # a Vieta move has one position, printed as a number
+        where = {"position": m.positions[0]} if len(m.positions) == 1 else \
+            {"positions": list(m.positions)}
+        moves.append({"move": m.kind, **where, "word": str(m.word),
+                      "triple_after": encode_triple(m.triple_after)})
     return {"start": encode_triple(trace.start), "moves": moves,
             "end": encode_triple(trace.end)}
 

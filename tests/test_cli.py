@@ -232,6 +232,21 @@ def test_cli_rejects_bad_sizes_and_bounds(capsys):
     assert help_exit.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
+def test_cli_integers_follow_the_json_grammar(capsys):
+    # int() takes all of these; a command-line integer is ASCII [+-]?[0-9]+
+    one = '{"ambient":{"gram":[[1]]},"vectors":[[1]]}'
+    for argv, name in ((("markov", "reduce", "٣", "٦", "١٥"), "a"),
+                       (("k0", "classify", "-n", " 1_0"), "-n"),
+                       (("markov", "check", "3", "3", "３"), "c"),
+                       (("k0", "gram", "-n", "4 "), "-n"),
+                       (("orbit", "--inline", one, "--height-bound", "1_0"), "--height-bound"),
+                       (("orbit", "--inline", one, "--max-nodes", "١٠"), "--max-nodes"),
+                       (("verify", "--seed", "\t0"), "--seed")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(f"error: argument {name}: "), argv
+    assert run(capsys, "markov", "check", "+3", "-3", "-06")[0] == 0
+
+
 def test_cli_orbit_rank_zero(capsys):
     for ambient in ("[]", "[[1,3],[0,1]]"):
         coll = '{"ambient":{"gram":%s},"vectors":[]}' % ambient

@@ -2,20 +2,20 @@
 
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiortho import mutations
+from semiortho import markov, mutations
 from semiortho.bilinear_form import BilinearLattice, canonical_operator
 from semiortho.markov import (
+    MOVE_WORDS,
     MarkovTriple,
     NotMarkov,
     Rank3Class,
     ReductionTrace,
-    SignFlipMove,
-    VietaMove,
     ZeroTriple,
     apply_word,
     classify_rank3,
@@ -135,11 +135,91 @@ def test_reduction_examples():
     tr = reduce_to_canonical(MarkovTriple(3, 3, 3))
     assert tr.moves == () and tr.end == MarkovTriple(3, 3, 3)
     tr = reduce_to_canonical(MarkovTriple(3, 3, 6))
-    assert len(tr.moves) == 1 and isinstance(tr.moves[0], VietaMove)
+    assert len(tr.moves) == 1 and tr.moves[0].kind == "vieta"
     tr = reduce_to_canonical(MarkovTriple(-3, 3, -6))
-    assert isinstance(tr.moves[0], SignFlipMove)
+    assert tr.moves[0].kind == "sign_flip"
     assert tr.end == MarkovTriple(3, 3, 3)
     assert replay_trace(tr) and realize_trace(tr)
+
+
+# the two entries each Vieta word swaps besides its substitution
+_VIETA_SWAP = {1: (0, 1), 2: (1, 2), 3: (1, 2)}
+
+
+def test_move_words_act_as_their_moves():
+    assert sorted(MOVE_WORDS) == [("sign_flip", (1, 2)), ("sign_flip", (1, 3)),
+                                  ("sign_flip", (2, 3)), ("vieta", (1,)), ("vieta", (2,)),
+                                  ("vieta", (3,))]
+    rng = random.Random(18)
+    for k in range(200):
+        t = MarkovTriple(*(rng.randint(-10**6, 10**6) for _ in range(3)))
+        if k % 2:  # a Markov triple with an even sign pattern
+            t = MarkovTriple(3, 3, 3)
+            for _ in range(rng.randint(0, 9)):
+                t = vieta(t, rng.randint(1, 3))
+            t = apply_word(t, rng.choice(list(MOVE_WORDS.values())))
+        for (kind, positions), word in MOVE_WORDS.items():
+            if kind == "sign_flip":
+                want = [-v if p in positions else v for p, v in zip((1, 2, 3), t.as_tuple())]
+            else:
+                (p,) = positions
+                want = list(vieta(t, p).as_tuple())
+                i, j = _VIETA_SWAP[p]
+                want[i], want[j] = want[j], want[i]
+            assert list(apply_word(t, word).as_tuple()) == want, (t, kind, positions)
+    # for example the word at position 1 gives (b, bc - a, c)
+    assert apply_word(MarkovTriple(3, 6, 15), MOVE_WORDS["vieta", (1,)]) == \
+        MarkovTriple(6, 87, 15)
+
+
+def _markov_triples(bound: int) -> set[tuple[int, int, int]]:
+    """The sorted positive Markov triples with every entry at most bound."""
+    seen, todo = {(3, 3, 3)}, [MarkovTriple(3, 3, 3)]
+    while todo:
+        t = todo.pop()
+        for p in (1, 2, 3):
+            u = tuple(sorted(vieta(t, p).as_tuple()))
+            if u[2] <= bound and u not in seen:
+                seen.add(u)
+                todo.append(MarkovTriple(*u))
+    return seen
+
+
+def _scan_positions(t: MarkovTriple) -> list[int]:
+    """The Vieta positions of a descent that takes at each step the lowest
+    position whose substitution lowers the maximum, after the signs are made
+    positive as the trace's flip makes them."""
+    cur = MarkovTriple(*map(abs, t.as_tuple()))
+    out = []
+    while cur.as_tuple() != (3, 3, 3):
+        p = next(p for p in (1, 2, 3) if vieta(cur, p).max_abs() < cur.max_abs())
+        out.append(p)
+        cur = apply_word(cur, MOVE_WORDS["vieta", (p,)])
+    return out
+
+
+def test_descent_at_the_largest_entry_matches_the_lowering_scan():
+    triples = _markov_triples(10**6)
+    starts = {tuple(s * v for s, v in zip(signs, order))
+              for t in triples for order in permutations(t)
+              for signs in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))}
+    assert (len(triples), len(starts)) == (35, 808)
+    for start in sorted(starts):
+        t = MarkovTriple(*start)
+        tr = reduce_to_canonical(t)
+        assert [m.positions[0] for m in tr.moves if m.kind == "vieta"] == _scan_positions(t), t
+
+
+def test_descent_keeps_its_checks(monkeypatch):
+    # a substitution that does not lower the maximum stops the descent
+    monkeypatch.setattr(markov, "vieta", lambda t, pos: MarkovTriple(9, 9, 9))
+    with pytest.raises(AssertionError, match="descent stuck at"):
+        reduce_to_canonical(MarkovTriple(3, 3, 6))
+    monkeypatch.undo()
+    # a word whose triple is not the substitution up to order fails the cross-check
+    monkeypatch.setitem(MOVE_WORDS, ("vieta", (3,)), BraidWord.parse("L1"))
+    with pytest.raises(AssertionError, match=r"word L1 realized \(-3, -3, 3\), not \(3, 3, 3\)"):
+        reduce_to_canonical(MarkovTriple(3, 3, 6))
 
 
 def test_reduction_errors():
