@@ -2,7 +2,9 @@
 
 Conventions: vectors are coordinate columns, the pairing is <v,w> = v^t X w
 where X is the Gram matrix with X[i][j] = <e_i, e_j>.  The canonical operator
-is the unique kappa with <v,w> = <w, kappa v>; in matrix form kappa = X^-1 X^t.
+is the unique kappa with <v,w> = <w, kappa v>; in matrix form X kappa = X^t, one
+integer solve that a lattice makes once and keeps: a back substitution when X
+is the unitriangular Gram of a semiorthonormal basis.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .exact_linalg import (
-    IntMatrix,
-    ShapeError,
-    UnimodularityError,
-    det,
-    int_text,
-    inverse_unimodular,
-)
+from .exact_linalg import (IntMatrix, ShapeError, UnimodularityError, det, int_text,
+                           inverse_unimodular, solve_unimodular)
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,11 @@ class BilinearLattice:
     def inverse(self) -> IntMatrix:
         """X^-1, integral because X is unimodular; computed on first use."""
         return inverse_unimodular(self.gram)
+
+    @cached_property
+    def kappa(self) -> IntMatrix:
+        """The canonical operator's matrix, solved from X kappa = X^t on first use."""
+        return solve_unimodular(self.gram, self.gram.transpose())
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def restricted_gram(ambient: BilinearLattice, vectors: Sequence[Sequence]) -> In
 
 def canonical_operator(lattice: BilinearLattice) -> OperatorOnLattice:
     """kappa = X^-1 X^t; integer because X is unimodular."""
-    return OperatorOnLattice(lattice.inverse * lattice.gram.transpose(), lattice)
+    return OperatorOnLattice(lattice.kappa, lattice)
 
 
 def left_dual(phi: OperatorOnLattice) -> OperatorOnLattice:
@@ -135,13 +136,9 @@ def semiorthogonal_sum(l1: BilinearLattice, l2: BilinearLattice,
     # an empty coupling cannot carry its column count; skip that check
     if coupling.rows != l1.rank or (coupling.rows > 0 and coupling.cols != l2.rank):
         raise ShapeError("coupling must be rank(l1) x rank(l2)")
-    r1, r2 = l1.rank, l2.rank
-    rows = []
-    for i in range(r1):
-        rows.append(l1.gram.row(i) + coupling.row(i))
-    for i in range(r2):
-        rows.append((0,) * r1 + l2.gram.row(i))
-    return BilinearLattice(IntMatrix.from_rows(rows))
+    top = tuple(g + c for g, c in zip(l1.gram.entries, coupling.entries))
+    bottom = tuple((0,) * l1.rank + g for g in l2.gram.entries)
+    return BilinearLattice(IntMatrix(top + bottom))
 
 
 def sum_projections(l1: BilinearLattice, l2: BilinearLattice,
@@ -173,8 +170,8 @@ def verify_canmatr(l1: BilinearLattice, l2: BilinearLattice,
     if r2 == 0:
         return (kappa - k1).is_zero()
     lam2, rho1 = sum_projections(l1, l2, coupling)
-    top_left = k1 - rho1 * k2 * lam2
-    top_right = -(rho1 * k2)
+    rho1_k2 = rho1 * k2
+    top_left, top_right = k1 - rho1_k2 * lam2, -rho1_k2
     bot_left = k2 * lam2
     rows = [a + b for a, b in zip(top_left.entries, top_right.entries)]
     rows += [a + b for a, b in zip(bot_left.entries, k2.entries)]

@@ -224,12 +224,12 @@ def int_text(x: int) -> str:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: prod a_ii of a triangular m, else fraction-free Bareiss elimination."""
     if not m.is_square:
         raise ShapeError("determinant of non-square matrix")
     n = m.rows
-    if n == 0:
-        return 1
+    if _is_triangular(m):
+        return math.prod(m.entries[i][i] for i in range(n))
     a = [list(r) for r in m.entries]
     sign = 1
     prev = 1
@@ -286,18 +286,36 @@ def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[in
     return pivots, d, sign
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
+def solve_unimodular(m: IntMatrix, rhs: IntMatrix) -> IntMatrix:
+    """The integer x with m x = rhs, for m of determinant +-1: by back substitution,
+    x_i = m_ii (b_i - sum_{k>i} m_ik x_k) from the bottom row up with no division, when m is
+    upper triangular with +-1 on its diagonal, else by one elimination of [m | rhs]."""
     if not m.is_square:
         raise ShapeError("inverse of non-square matrix")
-    n = m.rows
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
+    if rhs.rows != m.rows:
+        raise ShapeError(f"cannot solve {m.rows}x{m.cols} against {rhs.rows} rows")
+    n, a = m.rows, m.entries
+    if all(a[i][i] in (1, -1) and not any(a[i][:i]) for i in range(n)):
+        x = [()] * n
+        for i in reversed(range(n)):
+            row, acc = a[i], rhs.entries[i]
+            for k in range(i + 1, n):
+                if c := row[k]:
+                    acc = [s - c * t for s, t in zip(acc, x[k])]
+            x[i] = tuple(acc) if row[i] == 1 else tuple(-s for s in acc)
+        return IntMatrix(tuple(x))
+    rows = [list(r + b) for r, b in zip(a, rhs.entries)]
     pivots, d, sign = _rref(rows, n)
     if len(pivots) < n or d not in (1, -1):
         found = sign * d if len(pivots) == n else 0
         raise UnimodularityError(f"determinant is {int_text(found)}, expected +-1")
-    # the reduced rows are [d I | d m^-1] with d = +-1 = 1/d
-    return IntMatrix(tuple(tuple(d * x for x in row[n:]) for row in rows))
+    # the reduced rows are [d I | d x] with d = +-1 = 1/d
+    return IntMatrix(tuple(tuple(d * v for v in row[n:]) for row in rows))
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact integer inverse of a matrix with determinant +-1."""
+    return solve_unimodular(m, IntMatrix.identity(m.rows))
 
 
 def _berkowitz(m: IntMatrix) -> list:

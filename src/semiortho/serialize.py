@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from fractions import Fraction
 
 from .bilinear_form import BilinearLattice
@@ -27,6 +28,7 @@ from .markov import MarkovTriple, ReductionTrace
 from .mutations import OrbitReport, SonCollection
 
 _SAFE = 1 << 53
+_ECHO = 40  # the longest rejected value an error message repeats whole
 # the literals the encoders write; int() and Fraction() also take "1_000",
 # " 5 ", non-ASCII digits and "1e3"
 _INT = re.compile(r"[+-]?[0-9]+")
@@ -35,6 +37,12 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 class InputFormatError(ValueError):
     """Malformed or out-of-schema JSON input."""
+
+
+def _excerpt(v) -> str:
+    """repr(v), or the head of a longer one and the length of v's text."""
+    text = repr(v)
+    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(str(v))} characters)"
 
 
 def _decimal(x: int) -> str:
@@ -53,13 +61,11 @@ def decode_int(v) -> int:
     if type(v) is int:  # not a bool, which is an int subclass
         return v
     if not isinstance(v, str):
-        raise InputFormatError(f"expected integer, got {v!r}")
-    if not _INT.fullmatch(v):
-        raise InputFormatError(f"bad integer literal {v!r}")
-    try:
-        return int(v)
-    except ValueError:  # over sys.get_int_max_str_digits()
-        raise InputFormatError(f"bad integer literal {v!r}") from None
+        raise InputFormatError(f"expected integer, got {_excerpt(v)}")
+    if _INT.fullmatch(v):
+        with suppress(ValueError):  # over sys.get_int_max_str_digits()
+            return int(v)
+    raise InputFormatError(f"bad integer literal {_excerpt(v)}")
 
 
 def encode_number(x):
@@ -72,18 +78,14 @@ def encode_number(x):
 
 
 def decode_number(v) -> Fraction:
-    if isinstance(v, bool):
-        raise InputFormatError(f"expected number, got {v!r}")
-    if isinstance(v, int):
+    if type(v) is int:  # not a bool
         return Fraction(v)
-    if isinstance(v, str):
-        if not _RATIONAL.fullmatch(v):
-            raise InputFormatError(f"bad number literal {v!r}")
-        try:
+    if not isinstance(v, str):
+        raise InputFormatError(f"expected number, got {_excerpt(v)}")
+    if _RATIONAL.fullmatch(v):
+        with suppress(ValueError, ZeroDivisionError):
             return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise InputFormatError(f"bad number literal {v!r}") from None
-    raise InputFormatError(f"expected number, got {v!r}")
+    raise InputFormatError(f"bad number literal {_excerpt(v)}")
 
 
 def encode_matrix(m) -> list:

@@ -34,7 +34,15 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         # checked at construction, then read once here
         assert t.calls["mutations.SonCollection.gram"] == 2
         assert t.calls["mutations.is_semiorthonormal"] == 1
-        assert t.calls["exact_linalg.IntMatrix.mul"] == 1
+        # kappa of the unitriangular Gram is one back substitution: no product
+        assert t.calls["exact_linalg.IntMatrix.mul"] == 0
+        # the lattice keeps its kappa: asking again solves and multiplies nothing
+        inverses, products = (t.calls["exact_linalg.inverse_unimodular"],
+                              t.calls["exact_linalg.IntMatrix.mul"])
+        bilinear_form.canonical_operator(lat)
+        assert t.calls["bilinear_form.canonical_operator"] == 2
+        assert t.calls["exact_linalg.inverse_unimodular"] == inverses
+        assert t.calls["exact_linalg.IntMatrix.mul"] == products
     finally:
         t.uninstall()
     after = namespaces()

@@ -270,6 +270,32 @@ def test_cli_big_integers_exit_1(capsys):
         assert (code, out) == (1, "") and err.startswith("error:"), argv[:2]
 
 
+def test_cli_rejected_literals_are_echoed_in_short(capsys):
+    # a long rejected value is echoed as its head and its length
+    sevens = "7" * 4400
+    for argv in (("markov", "check", "3", "3", sevens + "x"),
+                 ("markov", "check", "3", "3", sevens),
+                 ("classify", "--inline", '{"gram":[["%sx"]]}' % sevens),
+                 ("k0", "rank", "--inline", '["1/%s"]' % ("0" * 4400)),
+                 ("classify", "--inline", '{"gram":[[[%s]]]}' % ",".join("7" * 2000))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert "characters)" in err
+    code, _, err = run(capsys, "markov", "check", "3", "3", sevens + "x")
+    assert err == "error: argument c: bad integer literal '%s... (4401 characters)\n" % ("7" * 39)
+    # a short one keeps its whole repr
+    for argv, message in ((("markov", "check", "3", "3", "1x"),
+                           "error: argument c: bad integer literal '1x'\n"),
+                          (("classify", "--inline", '{"gram":[["1/2"]]}'),
+                           "error: bad integer literal '1/2'\n"),
+                          (("k0", "rank", "--inline", '["1/0"]'),
+                           "error: bad number literal '1/0'\n"),
+                          (("k0", "rank", "--inline", "[null]"),
+                           "error: expected number, got None\n")):
+        assert run(capsys, *argv) == (1, "", message)
+
+
 def test_cli_determinant_too_long_to_print(capsys):
     code, out, err = run(capsys, "classify", "--inline", '{"gram":[[%s,0],[0,%s]]}' % (BIG, BIG))
     bits = (int(BIG) ** 2).bit_length()

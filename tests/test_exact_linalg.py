@@ -23,6 +23,7 @@ from semiortho.exact_linalg import (
     mul_trunc,
     nilpotency_index,
     rank_over_q,
+    solve_unimodular,
 )
 from semiortho.k0_pn import DSeries
 
@@ -441,6 +442,73 @@ def test_inverse_unimodular_matches_fraction_rref():
         inverse_unimodular(IntMatrix.from_rows([[big, 0], [0, 1]]))
     with pytest.raises(ShapeError, match="inverse of non-square matrix"):
         inverse_unimodular(IntMatrix.from_rows([[1, 2]]))
+
+
+def _rref_solve(m: IntMatrix, rhs: IntMatrix) -> IntMatrix:
+    """x with m x = rhs by one elimination of [m | rhs]: the oracle of the back substitution."""
+    n = m.rows
+    rows = [list(r + b) for r, b in zip(m.entries, rhs.entries)]
+    pivots, d, _ = exact_linalg._rref(rows, n)
+    assert len(pivots) == n and d in (1, -1)
+    return IntMatrix(tuple(tuple(d * v for v in row[n:]) for row in rows))
+
+
+def test_solve_unimodular_back_substitution_matches_elimination(monkeypatch):
+    # an upper triangular m with +-1 diagonal is solved with no elimination;
+    # the elimination of [m | rhs], counted through the module, stays the oracle
+    rref = exact_linalg._rref
+    calls = []
+    monkeypatch.setattr(exact_linalg, "_rref", lambda *a: calls.append(a) or rref(*a))
+    rng = random.Random(61)
+    for n in range(9):
+        for _ in range(15):
+            m = IntMatrix.from_rows([[rng.choice((1, -1)) if i == j else
+                                      rng.randint(-5, 5) if i < j else 0
+                                      for j in range(n)] for i in range(n)])
+            k = rng.randint(0, 4)
+            rhs = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)])
+            x = solve_unimodular(m, rhs)
+            assert not calls, n
+            assert x == _rref_solve(m, rhs) and _entry_types(x) <= {int}
+            assert (m * x - rhs).is_zero()
+            assert inverse_unimodular(m) == _rref_solve(m, IntMatrix.identity(n))
+            # kappa = X^-1 X^t in one solve
+            assert solve_unimodular(m, m.transpose()) == inverse_unimodular(m) * m.transpose()
+            calls.clear()
+    # a lower triangular or full unimodular m goes through the elimination
+    for m in (IntMatrix.from_rows([[1, 0], [4, -1]]), random_unimodular(rng, 5, steps=30)):
+        rhs = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(m.rows)])
+        assert solve_unimodular(m, rhs) == _rref_solve(m, rhs) and len(calls) == 2
+        calls.clear()
+    with pytest.raises(ShapeError, match="cannot solve 2x2 against 3 rows"):
+        solve_unimodular(IntMatrix.identity(2), IntMatrix.zero(3, 1))
+
+
+def test_triangular_non_unimodular_keeps_the_elimination_message():
+    # a triangular m whose diagonal is not all +-1 is not back-substituted
+    for rows in ([[2, 0], [0, 1]], [[1, 5], [0, 2]], [[-1, 3], [0, 2]], [[1, 5], [0, 0]],
+                 [[0, 1], [0, 1]], [[1, 0, 0], [4, 0, 0], [2, 7, 1]], [[3, 1], [0, -1]]):
+        m = IntMatrix.from_rows(rows)
+        message = f"determinant is {det(m)}, expected [+]-1$"
+        for solve in (inverse_unimodular, lambda m: solve_unimodular(m, m.transpose())):
+            with pytest.raises(UnimodularityError, match=message):
+                solve(m)
+
+
+def test_triangular_det_matches_bareiss(monkeypatch):
+    # prod a_ii of an upper, lower or diagonal matrix, zeros on the diagonal
+    # included, against the Bareiss loop the triangular test otherwise skips
+    rng = random.Random(67)
+    keep = {"upper": lambda i, j: i <= j, "lower": lambda i, j: i >= j,
+            "diagonal": lambda i, j: i == j}
+    cases = [IntMatrix.from_rows([[rng.choice((0, 1, -1, 2, rng.randint(-40, 40)))
+                                   if kept(i, j) else 0 for j in range(n)] for i in range(n)])
+             for kept in keep.values() for n in range(1, 8) for _ in range(10)]
+    fast = [det(m) for m in cases]
+    monkeypatch.setattr(exact_linalg, "_is_triangular", lambda m: False)
+    assert fast == [det(m) for m in cases]
+    assert fast[:70:10] == [naive_det(m) for m in cases[:70:10]]
+    assert 0 in fast and any(abs(d) > 1 for d in fast)
 
 
 def test_rat_product_matches_fraction_product():
