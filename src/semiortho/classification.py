@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .bilinear_form import BilinearLattice, OperatorOnLattice, canonical_operator, right_dual
+from .bilinear_form import BilinearLattice, OperatorOnLattice, right_dual
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
@@ -244,7 +244,7 @@ def detect_type_gram(gram: RatMatrix) -> FormTypeReport:
 
 def detect_type(lattice: BilinearLattice) -> FormTypeReport:
     """The verdict from the integer kappa of a unimodular lattice."""
-    return _report(canonical_operator(lattice).matrix)
+    return _report(lattice.kappa)
 
 
 @dataclass(frozen=True)
@@ -399,7 +399,7 @@ def is_type1_isometry(f: DSeries) -> bool:
 
 def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:
     """A* A; equal invariants characterize one orbit of the isometry group."""
-    kappa = canonical_operator(a.ambient).matrix
+    kappa = a.ambient.kappa
     if not (a.matrix * kappa - kappa * a.matrix).is_zero():
         raise ValueError("operator is not in the canonical algebra")
     if det(a.matrix) == 0:

@@ -3,6 +3,7 @@
 Integer matrices use Python ints (arbitrary precision), rational matrices use
 fractions.Fraction, which keeps every entry reduced with positive denominator.
 All matrices are immutable values; every operation returns a fresh matrix.
+A matrix keeps its column count, so r x 0 and 0 x c are shapes like any other.
 Rational kernels clear denominators and compute in integers: products,
 fraction-free elimination and the char poly never add two Fractions.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -32,22 +33,30 @@ def exact_int(x) -> int:
     return i
 
 
-def _freeze_rows(rows, cast):
-    out = tuple(tuple(cast(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ShapeError("ragged rows")
-    return out
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Matrix:
-    """Dense row-major matrix; subclasses fix the entry type by `_cast`."""
+    """Dense row-major matrix; subclasses fix the entry type by `_cast`.  `cols` is
+    read off the first row, so only a matrix with no rows needs it given."""
 
     entries: tuple[tuple, ...]
+    cols: int
+
+    def __init__(self, entries: tuple[tuple, ...], cols: int = 0):
+        _set(self, "entries", entries)
+        _set(self, "cols", len(entries[0]) if entries else cols)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]):
-        return cls(_freeze_rows(rows, cls._cast))
+    def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None):
+        """The matrix with these rows, each of length `cols` (by default the first's)."""
+        entries = tuple(tuple(map(cls._cast, row)) for row in rows)
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        if any(len(r) != cols for r in entries):
+            raise ShapeError(f"every row must have {cols} entries")
+        return cls(entries, cols)
 
     @classmethod
     def identity(cls, n: int):
@@ -56,15 +65,11 @@ class _Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int):
-        return cls(tuple((cls._cast(0),) * cols for _ in range(rows)))
+        return cls(tuple((cls._cast(0),) * cols for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     @property
     def is_square(self) -> bool:
@@ -78,20 +83,16 @@ class _Matrix:
         return self.entries[i]
 
     def transpose(self):
-        return type(self)(tuple(zip(*self.entries)) if self.entries else ())
+        return type(self)(_columns(self), self.rows)
 
     def __add__(self, other):
-        _check_same_shape(self, other)
-        return _sum_type(self, other)(tuple(tuple(a + b for a, b in zip(r, s))
-                                            for r, s in zip(self.entries, other.entries)))
+        return _entrywise(add, self, other)
 
     def __sub__(self, other):
-        _check_same_shape(self, other)
-        return _sum_type(self, other)(tuple(tuple(a - b for a, b in zip(r, s))
-                                            for r, s in zip(self.entries, other.entries)))
+        return _entrywise(sub, self, other)
 
     def __neg__(self):
-        return type(self)(tuple(tuple(-a for a in r) for r in self.entries))
+        return type(self)(tuple(tuple(-a for a in r) for r in self.entries), self.cols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
@@ -122,19 +123,22 @@ class _Matrix:
         return all(a == 0 for r in self.entries for a in r)
 
 
+def _columns(m: _Matrix) -> tuple[tuple, ...]:
+    """The columns of m as tuples: m.cols empty ones when m has no rows."""
+    return tuple(zip(*m.entries)) or ((),) * m.cols
+
+
 def _check_product(a, b):
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
 
 
-def _check_same_shape(a, b):
-    if a.rows != b.rows or a.cols != b.cols:
+def _entrywise(op, a, b):
+    """op of a and b entry by entry; integral only when both operands are."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-
-
-def _sum_type(a, b):
-    # a sum or difference is integral only when both operands are
-    return IntMatrix if type(a) is type(b) is IntMatrix else RatMatrix
+    kind = IntMatrix if type(a) is type(b) is IntMatrix else RatMatrix
+    return kind(tuple(tuple(map(op, r, s)) for r, s in zip(a.entries, b.entries)), a.cols)
 
 
 class IntMatrix(_Matrix):
@@ -147,11 +151,12 @@ class IntMatrix(_Matrix):
         if not isinstance(other, IntMatrix):
             return RatMatrix.__mul__(self, other)
         _check_product(self, other)
-        cols = tuple(zip(*other.entries))
-        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries))
+        cols = _columns(other)
+        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries),
+                         other.cols)
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(_freeze_rows(self.entries, Fraction))
+        return RatMatrix(tuple(tuple(map(Fraction, r)) for r in self.entries), self.cols)
 
 
 class RatMatrix(_Matrix):
@@ -167,16 +172,16 @@ class RatMatrix(_Matrix):
         # also the product of an IntMatrix with a RatMatrix: ints clear as p/1
         _check_product(self, other)
         rows = [_cleared(r) for r in self.entries]
-        cols = [_cleared(c) for c in zip(*other.entries)]
+        cols = [_cleared(c) for c in _columns(other)]
         return RatMatrix(tuple(tuple(Fraction(sum(map(mul, r, c)), s * t) for t, c in cols)
-                               for s, r in rows))
+                               for s, r in rows), other.cols)
 
     def power(self, k: int) -> "RatMatrix":
         return self.inverse().power(-k) if k < 0 else super().power(k)
 
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
-        return RatMatrix(tuple(tuple(c * a for a in r) for r in self.entries))
+        return RatMatrix(tuple(tuple(c * a for a in r) for r in self.entries), self.cols)
 
     def det(self) -> Fraction:
         """Bareiss determinant of the matrix with each row's denominators cleared."""
@@ -196,7 +201,8 @@ class RatMatrix(_Matrix):
         pivots, d, _ = _rref(rows, n)
         if len(pivots) < n:
             raise ValueError("singular matrix")
-        return RatMatrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows))
+        return RatMatrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows),
+                         rhs.cols)
 
     def inverse(self) -> "RatMatrix":
         return self.solve(RatMatrix.identity(self.rows))
@@ -212,7 +218,7 @@ def clear_denominators(m: _Matrix) -> tuple[int, IntMatrix]:
     """(c, c * m) with c the least common denominator of all entries of m."""
     c = math.lcm(*(a.denominator for r in m.entries for a in r))
     return c, IntMatrix(tuple(tuple(a.numerator * (c // a.denominator) for a in r)
-                              for r in m.entries))
+                              for r in m.entries), m.cols)
 
 
 def int_text(x: int) -> str:
@@ -303,14 +309,14 @@ def solve_unimodular(m: IntMatrix, rhs: IntMatrix) -> IntMatrix:
                 if c := row[k]:
                     acc = [s - c * t for s, t in zip(acc, x[k])]
             x[i] = tuple(acc) if row[i] == 1 else tuple(-s for s in acc)
-        return IntMatrix(tuple(x))
+        return IntMatrix(tuple(x), rhs.cols)
     rows = [list(r + b) for r, b in zip(a, rhs.entries)]
     pivots, d, sign = _rref(rows, n)
     if len(pivots) < n or d not in (1, -1):
         found = sign * d if len(pivots) == n else 0
         raise UnimodularityError(f"determinant is {int_text(found)}, expected +-1")
     # the reduced rows are [d I | d x] with d = +-1 = 1/d
-    return IntMatrix(tuple(tuple(d * v for v in row[n:]) for row in rows))
+    return IntMatrix(tuple(tuple(d * v for v in row[n:]) for row in rows), rhs.cols)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bilinear_form import BilinearLattice, canonical_operator
+from .bilinear_form import BilinearLattice
 from .exact_linalg import IntMatrix
 from .mutations import (BraidWord, SonCollection, _check_letter, _flip_gram, _mutate_gram,
                         apply_braid, is_unitriangular)
@@ -188,7 +188,7 @@ def classify_rank3(lattice: BilinearLattice) -> Rank3Class:
         raise ValueError("classification applies to rank 3 only")
     if not is_unitriangular(lattice.gram):
         raise ValueError("basis is not semiorthonormal")
-    tr = canonical_operator(lattice).matrix.trace()
+    tr = lattice.kappa.trace()
     if tr == 3:
         return Rank3Class("unipotent", tr)
     if tr == -1:

@@ -129,8 +129,8 @@ class AdmissibleSubmodule:
         object.__setattr__(self, "form", form)
 
     def basis_matrix(self) -> IntMatrix:
-        """Columns are the basis vectors in ambient coordinates (rank x 0 for no basis)."""
-        return IntMatrix(tuple(zip(*self.basis)) or ((),) * self.ambient.rank)
+        """Columns are the basis vectors in ambient coordinates."""
+        return IntMatrix(self.basis, self.ambient.rank).transpose()
 
 
 # With B the basis columns and G_U = B^t X B unimodular (admissibility), both

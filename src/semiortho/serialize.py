@@ -141,8 +141,7 @@ def decode_collection(v) -> SonCollection:
     ambient = decode_lattice(v["ambient"])
     if not isinstance(v["vectors"], list):
         raise InputFormatError("vectors must be an array")
-    vectors = [[decode_int(x) for x in row] for row in _matrix_rows(v["vectors"])] \
-        if v["vectors"] else []
+    vectors = [[decode_int(x) for x in row] for row in _matrix_rows(v["vectors"])]
     try:
         return SonCollection(ambient, vectors)
     except ValueError as e:

@@ -71,5 +71,6 @@ def fraction_rank(m) -> int:
 
 def fraction_product(a, b) -> RatMatrix:
     """Matrix product summed in Fractions, the reference for RatMatrix.__mul__."""
+    cols = [[r[j] for r in b.entries] for j in range(b.cols)]
     return RatMatrix(tuple(tuple(sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
-                                 for c in zip(*b.entries)) for r in a.entries))
+                                 for c in cols) for r in a.entries), b.cols)

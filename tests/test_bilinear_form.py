@@ -166,7 +166,7 @@ def test_semiorthogonal_sum_and_projections():
         l1 = BilinearLattice(random_unimodular_gram(rng, r1))
         l2 = BilinearLattice(random_unimodular_gram(rng, r2))
         coupling = IntMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(r2)] for _ in range(r1)])
+            [[rng.randint(-4, 4) for _ in range(r2)] for _ in range(r1)], r2)
         total = semiorthogonal_sum(l1, l2, coupling)
         assert total.rank == r1 + r2
         lam2, rho1 = sum_projections(l1, l2, coupling)
@@ -180,6 +180,25 @@ def test_semiorthogonal_sum_and_projections():
                 assert pair(l2, lam2.apply(u), v) == lhs
                 assert pair(l1, u, rho1.apply(v)) == lhs
         assert verify_canmatr(l1, l2, coupling)
+
+
+def test_semiorthogonal_sum_at_rank_zero():
+    empty, two = BilinearLattice.standard(0), BilinearLattice.standard(2)
+    for r1 in range(4):
+        for r2 in range(4):
+            l1, l2 = BilinearLattice.standard(r1), BilinearLattice.standard(r2)
+            lam2, rho1 = sum_projections(l1, l2, IntMatrix.zero(r1, r2))
+            assert (lam2.rows, lam2.cols, rho1.rows, rho1.cols) == (r2, r1, r1, r2)
+            assert verify_canmatr(l1, l2, IntMatrix.zero(r1, r2))
+    # a coupling must be rank(l1) x rank(l2) also when one side is empty
+    for l1, l2, coupling in ((empty, two, IntMatrix.zero(0, 7)),
+                             (empty, two, IntMatrix.zero(0, 0)),
+                             (two, empty, IntMatrix.zero(2, 1)),
+                             (two, empty, IntMatrix.zero(3, 0))):
+        with pytest.raises(ShapeError):
+            semiorthogonal_sum(l1, l2, coupling)
+    assert semiorthogonal_sum(empty, two, IntMatrix.zero(0, 2)).gram == two.gram
+    assert semiorthogonal_sum(two, empty, IntMatrix.zero(2, 0)).gram == two.gram
 
 
 def test_extension_trace_values():

@@ -301,7 +301,7 @@ def _rank_by_minors(m: RatMatrix) -> int:
 
 def test_rank_and_kernel_wide_and_tall():
     rng = random.Random(29)
-    for nr, nc in ((1, 6), (2, 5), (3, 6), (6, 3), (5, 2), (6, 1), (4, 4)):
+    for nr, nc in ((1, 6), (2, 5), (3, 6), (6, 3), (5, 2), (6, 1), (4, 4), (0, 3), (3, 0)):
         for k in range(min(nr, nc) + 1):
             # a product through a k-dimensional space has rank at most k
             left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
@@ -309,7 +309,7 @@ def test_rank_and_kernel_wide_and_tall():
             right = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(k)]
             m = RatMatrix.from_rows([[sum((a * b for a, b in zip(row, col)), Fraction(0))
                                       for col in zip(*right)] if right else [Fraction(0)] * nc
-                                     for row in left])
+                                     for row in left], nc)
             r = rank_over_q(m)
             assert r == _rank_by_minors(m) <= k
             ker = kernel_basis(m)
@@ -525,6 +525,37 @@ def test_rat_product_matches_fraction_product():
             assert (p.rows, p.cols) == (a.rows, b.cols)
     with pytest.raises(ShapeError):
         RatMatrix.zero(2, 3) * RatMatrix.zero(2, 3)
+
+
+def test_products_and_transposes_through_empty_shapes():
+    for r in range(4):
+        for c in range(4):
+            for left, right in ((IntMatrix, IntMatrix), (RatMatrix, RatMatrix),
+                                (IntMatrix, RatMatrix), (RatMatrix, IntMatrix)):
+                p = left.zero(r, 0) * right.zero(0, c)
+                kind = IntMatrix if left is right is IntMatrix else RatMatrix
+                assert type(p) is kind and p == kind.zero(r, c)
+            assert fraction_product(IntMatrix.zero(r, 0), RatMatrix.zero(0, c)) == \
+                RatMatrix.zero(r, c)
+    for kind in (IntMatrix, RatMatrix):
+        for m in (kind.zero(3, 0), kind.zero(0, 3)):
+            t = m.transpose()
+            assert (t.rows, t.cols) == (m.cols, m.rows) and t.transpose() == m
+        wide = kind.zero(0, 3)
+        assert (wide + wide, wide - wide, -wide) == (wide, wide, wide)
+    assert IntMatrix.zero(0, 3).to_rat() == RatMatrix.zero(0, 3)
+    assert IntMatrix.from_rows([[], []]).transpose() == IntMatrix.zero(0, 2)
+    assert solve_unimodular(IntMatrix.identity(0), IntMatrix.zero(0, 2)).cols == 2
+    assert RatMatrix.identity(0).solve(RatMatrix.zero(0, 2)).cols == 2
+
+
+def test_from_rows_keeps_the_column_count():
+    assert IntMatrix.from_rows([], 3).cols == 3
+    assert RatMatrix.from_rows([], 3) == RatMatrix.zero(0, 3) != RatMatrix.from_rows([])
+    assert IntMatrix.from_rows([[1, 2]], 2).cols == 2
+    for rows, cols in (([[1, 2]], 3), ([[1, 2], [3]], None), ([[1], [2]], 2), ([[]], 1)):
+        with pytest.raises(ShapeError):
+            IntMatrix.from_rows(rows, cols)
 
 
 def test_char_poly_rat_with_mixed_row_denominators():
