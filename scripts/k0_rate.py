@@ -17,8 +17,9 @@ runs each tree in a fresh subprocess (scripts/_trees.py), and the table
 gives the median seconds per tree, command, column and n.  The suggested
 limit of a command is the largest n whose slowest column stays within
 BUDGET_S seconds on the last tree: about 1 s, with room for a host a quarter
-slower.  `--out` merges the tables into a JSON file under the key
-"k0_rate", keeping its other keys.
+slower.  The table also gives the bytes each column prints, since a limit
+weighs output size as well as time.  `--out` merges the tables into a JSON
+file under the key "k0_rate", keeping its other keys.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ import _trees
 
 # command -> (NS, columns)
 TABLES = {"classify": ((32, 64, 96, 128, 144, 160), ("kappa",)),
-          "gram": ((24, 32, 36, 40, 48, 56, 64, 80, 96), ("twists", "binomial", "adams"))}
+          "gram": ((24, 32, 36, 40, 48, 56, 64, 80, 96, 112, 128, 144),
+                   ("twists", "binomial", "adams"))}
 REPEATS = 3
 BUDGET_S = 1.25
 
 
 def measure() -> dict:
-    """[seconds, output digest] per command, column and n for the `semiortho` on sys.path."""
+    """[seconds, output digest, output bytes] per command, column and n for the `semiortho`
+    on sys.path."""
     from semiortho import serialize
     from semiortho.classification import _report
     from semiortho.k0_pn import gram_matrix, kappa_matrix
@@ -57,8 +60,9 @@ def measure() -> dict:
                 start = perf_counter()
                 encoded = run(n, column)
                 seconds = perf_counter() - start
-                digest = hashlib.sha256(serialize.dumps(encoded).encode()).hexdigest()
-                out.setdefault(command, {}).setdefault(column, {})[str(n)] = [seconds, digest]
+                text = serialize.dumps(encoded).encode()
+                out.setdefault(command, {}).setdefault(column, {})[str(n)] = [
+                    seconds, hashlib.sha256(text).hexdigest(), len(text)]
     return out
 
 
@@ -77,14 +81,19 @@ def main(argv=None) -> int:
         slowest = {str(n): max(columns, key=lambda c: seconds[last][c][str(n)]) for n in ns}
         within = [n for n in ns if seconds[last][slowest[str(n)]][str(n)] <= BUDGET_S]
         limit = max(within, default=None)
+        # compact JSON bytes on stdout, the same in every tree when the digests are
+        size = {col: {str(n): runs[last][0][command][col][str(n)][2] for n in ns}
+                for col in columns}
         print(f"k0 {command}\n   n" + "".join(f"{label + ' ' + col:>22}" for label in seconds
-                                           for col in columns) + "   (s, median)")
+                                           for col in columns)
+              + "".join(f"{col + ' MB':>14}" for col in columns) + "   (s, median)")
         for n in ns:
             print(f"{n:>4}" + "".join(f"{seconds[label][col][str(n)]:>22.3f}"
-                                     for label in seconds for col in columns))
+                                     for label in seconds for col in columns)
+                  + "".join(f"{size[col][str(n)] / 1e6:>14.2f}" for col in columns))
         print(f"largest n within {BUDGET_S} s on {last}: {limit}")
         result[command] = {"ns": list(ns), "columns": list(columns), "digests": digests,
-                           "seconds": seconds, "slowest_column": slowest,
+                           "seconds": seconds, "bytes": size, "slowest_column": slowest,
                            "largest_n_within_budget": {"tree": last, "n": limit}}
     print(f"digests equal across trees: {equal}")
     _trees.merge_out(out, "k0_rate", {"repeats": REPEATS, "python": sys.version.split()[0],

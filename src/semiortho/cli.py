@@ -61,9 +61,12 @@ def cmd_mutate(args) -> int:
 
 
 # Largest -n of `k0 gram`, from the table of scripts/k0_rate.py in
-# BENCH_12.json: in the slowest basis, binomial, the Gram takes 0.73 s at
-# -n 80 and 1.27 s at -n 96 (2-vCPU Xeon, Python 3.11).
-K0_MAX_N = 80
+# BENCH_21.json: in the slowest basis, adams, the Gram takes 0.50 s at -n 128
+# and 0.72 s at -n 144, within the 1.25 s budget, but it prints 2.0 MB at
+# -n 128 and 3.0 MB at -n 144 (2-vCPU Xeon, Python 3.11).  Output size sets
+# the limit near 128; it stays one below K0_CLASSIFY_MAX_N, so that
+# `k0 classify` reaches past the Gram's limit.
+K0_MAX_N = 127
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
 # BENCH_15.json: classifying the integer kappa over the binomial basis takes

@@ -5,7 +5,10 @@ gamma_0 (`NumPoly`).  The Chern character sends it to the truncated power
 series in D = d/dt (`DSeries`) of the operator A with A gamma_n equal to it;
 the integral classes are the series with integer coordinates over the powers
 of nabla = 1 - e^(-D).  All series (exponentials, tanh, logarithms) are
-generated from their defining recurrences in exact rationals.
+generated from their defining recurrences in exact rationals.  The Gram
+matrices of the Euler pairing are computed in integers: closed binomial forms
+in the twist and binomial bases, the sigma-formula in the Adams basis,
+checked against the Hankel product of the basis coefficients.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
-from .exact_linalg import IntMatrix, RatMatrix, ShapeError, exact_int, mul_trunc
+from .exact_linalg import IntMatrix, RatMatrix, ShapeError, _cleared, exact_int, mul_trunc
 
 
 def _check_order(n: int):
@@ -239,24 +242,36 @@ def alpha_form(k: int, a_coords, b_coords) -> Fraction:
     return total
 
 
-def sigma_pairing(n: int, a_coords, b_coords) -> Fraction:
-    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B).
+def _terms(coords) -> tuple[int, list[tuple[int, int]]]:
+    """(s, the nonzero (k, s * coords[k])) with s the least common denominator."""
+    s, cleared = _cleared(coords)
+    return s, [(k, x) for k, x in enumerate(cleared) if x]
 
-    Summed term by term: (-1)^v binom(v+w, v) sigma_{n-v-w} a_v b_w over the
-    nonzero a_v, b_w with v + w <= n.
-    """
+
+def _sigma_sum(n: int, a, b) -> int:
+    """n! times the sigma-formula pairing of integer Adams coordinates, each given by
+    its nonzero terms (v, a_v), v increasing: the sum over v + w <= n of
+    (-1)^v binom(v+w, v) sigma_{n-v-w} a_v b_w."""
     sigma = _elementary_symmetric(n)
-    b = [(w, Fraction(y)) for w, y in enumerate(b_coords[:n + 1]) if y]
-    total = Fraction(0)
-    for v, x in enumerate(a_coords[:n + 1]):
-        if not x:
-            continue
-        x = Fraction(x)
+    total = 0
+    for v, x in a:
         for w, y in b:
             if v + w > n:
                 break
-            total += (-1) ** v * comb(v + w, v) * sigma[n - v - w] * x * y
-    return total / factorial(n)
+            term = comb(v + w, v) * sigma[n - v - w] * x * y
+            total += -term if v & 1 else term
+    return total
+
+
+def sigma_pairing(n: int, a_coords, b_coords) -> Fraction:
+    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B).
+
+    Each coordinate list is cleared of its denominators once, the sum is taken
+    in integers by `_sigma_sum` and divided once by the two scales and n!.
+    """
+    s, a = _terms(a_coords[:n + 1])
+    t, b = _terms(b_coords[:n + 1])
+    return Fraction(_sigma_sum(n, a, b), s * t * factorial(n))
 
 
 def kappa_pn(n: int) -> DSeries:
@@ -333,28 +348,60 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+def _hankel_product(n: int, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """C H' C^t for the integer rows C over D^0 .. D^n, where H' = n! H holds
+    (-1)^k (k+l)! sigma_{n-k-l} for k + l <= n: n! times the Gram of the basis
+    whose coefficient rows are C."""
+    sigma = _elementary_symmetric(n)
+    hankel = IntMatrix(tuple(tuple((-1) ** k * factorial(k + l) * sigma[n - k - l]
+                                   if k + l <= n else 0 for l in range(n + 1))
+                             for k in range(n + 1)))
+    c = IntMatrix(tuple(map(tuple, rows)))
+    return (c * hankel * c.transpose()).entries
+
+
 def gram_matrix(n: int, basis: str) -> RatMatrix:
     """Exact Gram matrix of the Euler pairing in the requested basis.
 
-    hilbert_pairing(A, B) = sum over i + j <= n of (-1)^i a_i b_j m_(i+j), so
-    the Gram matrix is the product A H A^t of the basis coefficients A and
-    the Hankel moment matrix H.  The Adams matrix is produced by the
-    sigma-formula and cross-checked against that product.
+    No two Fractions are added or multiplied: each entry is an integer, or an
+    integer over one denominator, built as a Fraction once.
+    - twists: chi(O(i), O(j)) = binom(n+j-i, n), which is 0 for j < i;
+    - binomial (nabla^0 .. nabla^n): (-1)^i binom(n-j, i), which is 0 for
+      i + j > n, since nabla^i(-D) = (-1)^i e^(iD) nabla^i(D) and nabla
+      shifts the gamma chain down one step;
+    - xi: the Hankel product C H' C^t of the basis coefficients, each row
+      cleared of its denominators, over the two row scales and n!;
+    - adams: the sigma-formula (`_sigma_sum`) on the Adams coordinates, each
+      row cleared once, over the two row scales and n!; it is cross-checked
+      in integers against the Hankel product.
     """
     _check_order(n)
-    series = _basis_series(n, basis)
-    m = _moments(n)
-    hankel = RatMatrix.from_rows([[(-1) ** i * m[i + j] if i + j <= n else 0
-                                   for j in range(n + 1)] for i in range(n + 1)])
-    coeffs = RatMatrix.from_rows([a.coeffs for a in series])
-    direct = coeffs * hankel * coeffs.transpose()
-    if basis == "adams":
-        adams = [a.adams_coords() for a in series]
-        via_sigma = RatMatrix.from_rows([[sigma_pairing(n, a, b) for b in adams] for a in adams])
-        if not (via_sigma - direct).is_zero():
-            raise AssertionError("sigma-formula disagrees with direct pairing")
-        return via_sigma
-    return direct
+    if basis == "twists":
+        return RatMatrix(tuple(tuple(Fraction(comb(n + j - i, n)) for j in range(n + 1))
+                               for i in range(n + 1)))
+    if basis == "binomial":
+        return RatMatrix(tuple(tuple(Fraction((-1) ** i * comb(n - j, i)) for j in range(n + 1))
+                               for i in range(n + 1)))
+    cleared = [_cleared(a.coeffs) for a in _basis_series(n, basis)]
+    direct = _hankel_product(n, [r for _, r in cleared])
+    nf = factorial(n)
+    if basis == "xi":
+        return RatMatrix(tuple(tuple(Fraction(p, s * t * nf) for (t, _), p in zip(cleared, row))
+                               for (s, _), row in zip(cleared, direct)))
+    # a row cleared to scale s has Adams coordinates k! r_k / s; cleared once
+    # more by g = gcd(s, k! r_k) they have scale s / g
+    adams = []
+    for s, r in cleared:
+        u = [factorial(k) * x for k, x in enumerate(r)]
+        g = gcd(s, *u)
+        adams.append((s // g, g, [(k, x // g) for k, x in enumerate(u) if x]))
+    via_sigma = [[_sigma_sum(n, a, b) for _, _, b in adams] for _, _, a in adams]
+    # both sides are n! times the pairing, the sigma side over scales s / g
+    if any(x * g * h != p for (_, g, _), xs, ps in zip(adams, via_sigma, direct)
+           for (_, h, _), x, p in zip(adams, xs, ps)):
+        raise AssertionError("sigma-formula disagrees with direct pairing")
+    return RatMatrix(tuple(tuple(Fraction(x, s * t * nf) for (t, _, _), x in zip(adams, xs))
+                           for (s, _, _), xs in zip(adams, via_sigma)))
 
 
 def rank(a: DSeries) -> Fraction:

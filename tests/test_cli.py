@@ -317,7 +317,8 @@ def test_cli_k0_size_limit(capsys):
     for basis in ("twists", "adams", "binomial"):
         code, out, _ = run(capsys, "k0", "classify", "-n", str(K0_MAX_N + 1), "--basis", basis)
         assert code == 0
-        assert json.loads(out)["verdict"] == {"type": "type1", "n": K0_MAX_N + 1, "epsilon": -1}
+        assert json.loads(out)["verdict"] == {"type": "type1", "n": K0_MAX_N + 1,
+                                              "epsilon": (-1) ** (K0_MAX_N + 1)}
 
 
 def test_cli_k0_classify_error_order(capsys):

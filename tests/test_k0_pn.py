@@ -10,10 +10,9 @@ from semiortho.classification import (
     Type1,
     _report,
     detect_type_gram,
-    kappa_of_gram,
     standard_type1_gram,
 )
-from semiortho.exact_linalg import IntMatrix, RatMatrix, mul_trunc
+from semiortho.exact_linalg import IntMatrix, RatMatrix, mul_trunc, solve_unimodular
 from semiortho.k0_pn import (
     DSeries,
     NumPoly,
@@ -317,30 +316,64 @@ def test_sparse_sigma_pairing_matches_double_loop():
         a, b = coords(), coords()
         val = sigma_pairing(n, a, b)
         assert type(val) is F and val == double_loop_sigma(n, a, b), (n, a, b)
+    # ints and Fractions side by side, each list over several denominators
+    for _ in range(200):
+        n = rng.randint(0, 9)
+
+        def mixed():
+            return [rng.randint(-9, 9) if k % 3 == 0
+                    else F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 5, 6, 7, 12, 35)))
+                    for k in range(rng.randint(1, n + 3))]
+
+        a, b = mixed(), mixed()
+        val = sigma_pairing(n, a, b)
+        assert type(val) is F and val == double_loop_sigma(n, a, b), (n, a, b)
 
 
 def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
-    real = k0_pn.sigma_pairing
+    # the sigma side of the adams Gram is _sigma_sum over the cleared Adams terms
+    real = k0_pn._sigma_sum
     for n in (0, 1, 4):
-        # off by one in the single entry pairing Psi_n with itself
+        # off by one in the single entry pairing Psi_n, whose terms are [(n, 1)], with itself
         def wrong(m, a, b):
-            return real(m, a, b) + (1 if a[m] and b[m] else 0)
+            return real(m, a, b) + (1 if a == b == [(m, 1)] else 0)
 
-        monkeypatch.setattr(k0_pn, "sigma_pairing", wrong)
+        monkeypatch.setattr(k0_pn, "_sigma_sum", wrong)
         with pytest.raises(AssertionError, match="sigma-formula disagrees"):
             gram_matrix(n, "adams")
-        monkeypatch.setattr(k0_pn, "sigma_pairing", real)
+        monkeypatch.setattr(k0_pn, "_sigma_sum", real)
         assert gram_matrix(n, "adams") == gram_matrix(n, "adams")
 
 
+def hankel_gram(n: int, basis: str) -> RatMatrix:
+    """The former gram_matrix: the Fraction product A H A^t of the basis
+    coefficients A and the Hankel moment matrix H[i][j] = (-1)^i m_(i+j)."""
+    m = k0_pn._moments(n)
+    hankel = RatMatrix.from_rows([[(-1) ** i * m[i + j] if i + j <= n else 0
+                                   for j in range(n + 1)] for i in range(n + 1)])
+    coeffs = RatMatrix.from_rows([a.coeffs for a in _basis_series(n, basis)])
+    return coeffs * hankel * coeffs.transpose()
+
+
+def test_gram_matrix_matches_the_hankel_product():
+    for n in range(25):
+        for basis in ("twists", "binomial", "adams") + (("xi",) if n == 2 else ()):
+            g = gram_matrix(n, basis)
+            assert g == hankel_gram(n, basis), (basis, n)
+            assert all(type(x) is F for r in g.entries for x in r)
+
+
 def test_kappa_matrix_is_kappa_of_the_binomial_gram():
-    for n in range(13):
+    for n in range(41):
         k = kappa_matrix(n)
         assert type(k) is IntMatrix
-        assert k.entries == kappa_of_gram(gram_matrix(n, "binomial")).entries
+        # kappa = G^-1 G^t, solved in integers on the closed-form Gram
+        g = IntMatrix.from_rows(gram_matrix(n, "binomial").entries)
+        assert solve_unimodular(g, g.transpose()) == k, n
+    for n in range(13):
         # the series kappa_pn(n) on the nabla coordinates, the Z-basis gamma_n .. gamma_0
         coords = kappa_pn(n).nabla_coords()
-        assert [row[0] for row in k.entries] == list(coords)
+        assert [row[0] for row in kappa_matrix(n).entries] == list(coords)
     with pytest.raises(ValueError, match=">= 0"):
         kappa_matrix(-1)
 
