@@ -116,14 +116,6 @@ def is_reflexive(phi: OperatorOnLattice) -> bool:
     return (phi.matrix * k - k * phi.matrix).is_zero()
 
 
-def is_selfdual(phi: OperatorOnLattice) -> bool:
-    return (right_dual(phi).matrix - phi.matrix).is_zero()
-
-
-def is_antiselfdual(phi: OperatorOnLattice) -> bool:
-    return (right_dual(phi).matrix + phi.matrix).is_zero()
-
-
 def is_isometry(phi: OperatorOnLattice) -> bool:
     """phi^t X phi = X, equivalently right_dual(phi) phi = id."""
     x = phi.ambient.gram

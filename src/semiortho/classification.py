@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .bilinear_form import BilinearLattice, OperatorOnLattice, right_dual
+from .bilinear_form import BilinearLattice, OperatorOnLattice, is_reflexive, right_dual
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
@@ -399,8 +399,7 @@ def is_type1_isometry(f: DSeries) -> bool:
 
 def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:
     """A* A; equal invariants characterize one orbit of the isometry group."""
-    kappa = a.ambient.kappa
-    if not (a.matrix * kappa - kappa * a.matrix).is_zero():
+    if not is_reflexive(a):
         raise ValueError("operator is not in the canonical algebra")
     if det(a.matrix) == 0:
         raise ValueError("operator must be invertible over Q")

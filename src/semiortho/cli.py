@@ -61,18 +61,18 @@ def cmd_mutate(args) -> int:
 
 
 # Largest -n of `k0 gram`, from the table of scripts/k0_rate.py in
-# BENCH_21.json: in the slowest basis, adams, the Gram takes 0.50 s at -n 128
-# and 0.72 s at -n 144, within the 1.25 s budget, but it prints 2.0 MB at
+# BENCH_22.json: in the slowest basis, adams, the Gram takes 0.20 s at -n 128
+# and 0.26 s at -n 144, within the 1.25 s budget, but it prints 2.0 MB at
 # -n 128 and 3.0 MB at -n 144 (2-vCPU Xeon, Python 3.11).  Output size sets
 # the limit near 128; it stays one below K0_CLASSIFY_MAX_N, so that
 # `k0 classify` reaches past the Gram's limit.
 K0_MAX_N = 127
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
-# BENCH_15.json: classifying the integer kappa over the binomial basis takes
-# 0.45 s at -n 128, 0.81 s at -n 144 and 1.21 s at -n 160, most of it the one
-# rank of kappa - (-1)^n (2-vCPU Xeon, Python 3.11).  The table would admit
-# -n 160; the limit has not been raised.
+# BENCH_21.json: classifying the integer kappa over the binomial basis takes
+# 0.51 s at -n 128 and 0.78 s at -n 144, most of it the one rank of
+# kappa - (-1)^n (2-vCPU Xeon, Python 3.11).  The table would admit -n 144;
+# the limit has not been raised.
 K0_CLASSIFY_MAX_N = 128
 
 

@@ -155,9 +155,6 @@ class IntMatrix(_Matrix):
         return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries),
                          other.cols)
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(map(Fraction, r)) for r in self.entries), self.cols)
-
 
 class RatMatrix(_Matrix):
     """Dense matrix with exact rational entries (Fraction keeps them reduced).
@@ -377,25 +374,6 @@ def char_poly_rat(m: _Matrix) -> tuple[Fraction, ...]:
     ints = (_linear_factors(cm[i, i] for i in range(n)) if _is_triangular(cm)
             else _berkowitz(cm))
     return tuple(Fraction(b, c ** (n - k)) for k, b in enumerate(ints))
-
-
-def nilpotency_index(m: RatMatrix) -> int | None:
-    """Smallest k with m^k = 0, or None if m is not nilpotent."""
-    if not m.is_square:
-        raise ShapeError("nilpotency index of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    # nilpotent iff char poly is x^n
-    cp = char_poly_rat(m)
-    if any(cp[i] != 0 for i in range(n)):
-        return None
-    power = RatMatrix.identity(n)
-    for k in range(n + 1):
-        if power.is_zero():
-            return k
-        power = power * m
-    return n  # unreachable: Cayley-Hamilton forces m^n = 0
 
 
 def rank_over_q(m: _Matrix) -> int:

@@ -57,37 +57,6 @@ class NumPoly:
         cs += [0] * (n + 1 - len(cs))
         return NumPoly(n, tuple(cs))
 
-    def __call__(self, t) -> Fraction:
-        t = Fraction(t)
-        val = Fraction(0)
-        for k, c in enumerate(self.coords):
-            val += c * _gamma_value(self.n - k, t)
-        return val
-
-
-def _gamma_value(j: int, t: Fraction) -> Fraction:
-    # gamma_j(t) = (t+1)(t+2)...(t+j) / j!
-    num = Fraction(1)
-    for i in range(1, j + 1):
-        num *= t + i
-    return num / factorial(j)
-
-
-def gamma_basis(n: int) -> list[NumPoly]:
-    """[gamma_n, ..., gamma_0] as elements of the rank n+1 lattice."""
-    return [NumPoly.from_coords(n, [0] * k + [1]) for k in range(n + 1)]
-
-
-def twist_class(n: int, k: int) -> NumPoly:
-    """Class of the k-th twisting sheaf, gamma_n(t + k): Chern character e^(kD)."""
-    return chern_inverse(DSeries.exp(n, k))
-
-
-def nabla(f: NumPoly) -> NumPoly:
-    """Left difference f(t) - f(t-1); shifts the gamma chain down one step."""
-    return NumPoly(f.n, (0,) + f.coords[:-1])
-
-
 @dataclass(frozen=True)
 class DSeries:
     """Element of Q[D]/D^(n+1), D the derivative in t.
@@ -145,13 +114,6 @@ class DSeries:
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def matrix_in(self, m: RatMatrix) -> RatMatrix:
-        """Substitute a square matrix for the variable, by Horner's rule."""
-        acc = RatMatrix.zero(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + RatMatrix.identity(m.rows).scale(c)
-        return acc
 
     def inverse(self) -> "DSeries":
         """Multiplicative inverse; requires nonzero constant term."""
@@ -228,18 +190,6 @@ def hilbert_pairing(n: int, a: DSeries, b: DSeries) -> Fraction:
     prod = a.negate_variable() * b
     m = _moments(n)
     return sum((c * m[k] for k, c in enumerate(prod.coeffs)), Fraction(0))
-
-
-def alpha_form(k: int, a_coords, b_coords) -> Fraction:
-    """alpha_k(A, B) = sum_v (-1)^v binom(k, v) a_v b_{k-v}, Adams coordinates."""
-    a = [Fraction(c) for c in a_coords]
-    b = [Fraction(c) for c in b_coords]
-    total = Fraction(0)
-    for v in range(k + 1):
-        av = a[v] if v < len(a) else Fraction(0)
-        bk = b[k - v] if k - v < len(b) else Fraction(0)
-        total += (-1) ** v * comb(k, v) * av * bk
-    return total
 
 
 def _terms(coords) -> tuple[int, list[tuple[int, int]]]:
@@ -351,13 +301,24 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
 def _hankel_product(n: int, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """C H' C^t for the integer rows C over D^0 .. D^n, where H' = n! H holds
     (-1)^k (k+l)! sigma_{n-k-l} for k + l <= n: n! times the Gram of the basis
-    whose coefficient rows are C."""
+    whose coefficient rows are C.
+
+    Each row of C enters by its nonzero terms only, so the diagonal C of the
+    Adams basis costs O(n^2).
+    """
     sigma = _elementary_symmetric(n)
-    hankel = IntMatrix(tuple(tuple((-1) ** k * factorial(k + l) * sigma[n - k - l]
-                                   if k + l <= n else 0 for l in range(n + 1))
-                             for k in range(n + 1)))
-    c = IntMatrix(tuple(map(tuple, rows)))
-    return (c * hankel * c.transpose()).entries
+    # row k of H', cut where k + l passes n
+    hankel = [[(-1) ** k * factorial(k + l) * sigma[n - k - l] for l in range(n + 1 - k)]
+              for k in range(n + 1)]
+    terms = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+    out = []
+    for a in terms:
+        u = [0] * (n + 1)  # the row a H'
+        for k, x in a:
+            for l, h in enumerate(hankel[k]):
+                u[l] += x * h
+        out.append(tuple(sum(u[l] * y for l, y in b) for b in terms))
+    return tuple(out)
 
 
 def gram_matrix(n: int, basis: str) -> RatMatrix:

@@ -175,22 +175,3 @@ def reduce_to_canonical(t: MarkovTriple) -> ReductionTrace:
         cur = move.triple_after
     return ReductionTrace(t, tuple(moves), cur)
 
-
-@dataclass(frozen=True)
-class Rank3Class:
-    kind: str  # "unipotent" | "minus_case" | "split"
-    trace: int
-
-
-def classify_rank3(lattice: BilinearLattice) -> Rank3Class:
-    """Jordan shape of kappa for a rank-3 semiorthonormal form, by trace."""
-    if lattice.rank != 3:
-        raise ValueError("classification applies to rank 3 only")
-    if not is_unitriangular(lattice.gram):
-        raise ValueError("basis is not semiorthonormal")
-    tr = lattice.kappa.trace()
-    if tr == 3:
-        return Rank3Class("unipotent", tr)
-    if tr == -1:
-        return Rank3Class("minus_case", tr)
-    return Rank3Class("split", tr)

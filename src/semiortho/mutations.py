@@ -218,11 +218,6 @@ def apply_braid(c: SonCollection, word: BraidWord) -> SonCollection:
     return c
 
 
-def collection_height(gram_rows: Sequence[Sequence[int]]) -> int:
-    """Height of a collection = max |Gram entry|, from the rows of its Gram matrix."""
-    return max((abs(x) for row in gram_rows for x in row), default=0)
-
-
 @cache
 def _layout(n: int):
     """The (i, j) of each entry of the flat state, a rank-n Gram's strict upper

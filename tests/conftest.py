@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from semiortho.bilinear_form import BilinearLattice
-from semiortho.exact_linalg import IntMatrix, RatMatrix
+from semiortho.exact_linalg import IntMatrix, RatMatrix, ShapeError, char_poly_rat
 from semiortho.properties import random_son_gram
 
 
@@ -74,3 +74,30 @@ def fraction_product(a, b) -> RatMatrix:
     cols = [[r[j] for r in b.entries] for j in range(b.cols)]
     return RatMatrix(tuple(tuple(sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
                                  for c in cols) for r in a.entries), b.cols)
+
+
+def nilpotency_index(m: RatMatrix) -> int | None:
+    """Smallest k with m^k = 0, or None if m is not nilpotent."""
+    if not m.is_square:
+        raise ShapeError("nilpotency index of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    # nilpotent iff char poly is x^n
+    cp = char_poly_rat(m)
+    if any(cp[i] != 0 for i in range(n)):
+        return None
+    power = RatMatrix.identity(n)
+    for k in range(n + 1):
+        if power.is_zero():
+            return k
+        power = power * m
+    return n  # unreachable: Cayley-Hamilton forces m^n = 0
+
+
+def matrix_in(series, m: RatMatrix) -> RatMatrix:
+    """A series (a DSeries) with a square matrix substituted for its variable, by Horner's rule."""
+    acc = RatMatrix.zero(m.rows, m.cols)
+    for c in reversed(series.coeffs):
+        acc = acc * m + RatMatrix.identity(m.rows).scale(c)
+    return acc

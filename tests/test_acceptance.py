@@ -18,7 +18,7 @@ from semiortho.classification import (
     standard_type1_gram,
     type1_isometry_from_odd,
 )
-from semiortho.exact_linalg import IntMatrix, RatMatrix, inverse_unimodular, nilpotency_index
+from semiortho.exact_linalg import IntMatrix, RatMatrix, inverse_unimodular
 from semiortho.k0_pn import DSeries, gram_matrix
 from semiortho.markov import MarkovTriple, is_markov, reduce_to_canonical, trace_kappa_rank3, vieta
 from semiortho.mutations import SonCollection, is_semiorthonormal
@@ -30,7 +30,7 @@ from semiortho.properties import (
     sigma_failures,
 )
 
-from conftest import random_unimodular, random_unimodular_gram
+from conftest import nilpotency_index, random_unimodular, random_unimodular_gram
 
 F = Fraction
 
@@ -162,7 +162,7 @@ def test_criterion_7_canonical_operator_laws():
             [[rng.randint(-4, 4) for _ in range(r2)] for _ in range(r1)])
         total = semiorthogonal_sum(l1, l2, coupling)
         kappa = canonical_operator(total)
-        x = total.gram.to_rat()
+        x = RatMatrix.from_rows(total.gram.entries, total.rank)
         # kappa^t X kappa = X
         ok = ok and (kappa.matrix.transpose() * x * kappa.matrix - x).is_zero()
         v = [rng.randint(-3, 3) for _ in range(total.rank)]

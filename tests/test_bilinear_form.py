@@ -10,10 +10,8 @@ from semiortho.bilinear_form import (
     OperatorOnLattice,
     canonical_operator,
     extension_trace_check,
-    is_antiselfdual,
     is_isometry,
     is_reflexive,
-    is_selfdual,
     left_dual,
     pair,
     right_dual,
@@ -155,8 +153,9 @@ def test_selfdual_antiselfdual():
     lat = BilinearLattice.standard(2)  # symmetric form: dual = transpose
     sym = OperatorOnLattice(IntMatrix.from_rows([[1, 2], [2, 0]]), lat)
     skew = OperatorOnLattice(IntMatrix.from_rows([[0, 1], [-1, 0]]), lat)
-    assert is_selfdual(sym) and not is_antiselfdual(sym)
-    assert is_antiselfdual(skew) and not is_selfdual(skew)
+    # selfdual: right_dual(phi) = phi; antiselfdual: right_dual(phi) = -phi
+    assert right_dual(sym).matrix == sym.matrix and right_dual(sym).matrix != -sym.matrix
+    assert right_dual(skew).matrix == -skew.matrix and right_dual(skew).matrix != skew.matrix
 
 
 def test_semiorthogonal_sum_and_projections():

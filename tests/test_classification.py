@@ -42,7 +42,6 @@ from semiortho.exact_linalg import (
     char_poly_rat,
     clear_denominators,
     kernel_basis,
-    nilpotency_index,
     rank_over_q,
 )
 from semiortho.k0_pn import DSeries, gram_matrix
@@ -51,6 +50,8 @@ from conftest import (
     fraction_product,
     fraction_rank,
     fraction_rref,
+    matrix_in,
+    nilpotency_index,
     random_son_gram,
     random_unimodular,
 )
@@ -219,7 +220,7 @@ def test_isometry_series_acts_as_matrix_isometry():
         z = zeta_from_kappa(kap, n)
         k = odd_coefficient_count(n)
         f = type1_isometry_from_odd([Fraction(1, 2)] * k, -1, n)
-        fm = f.matrix_in(z)
+        fm = matrix_in(f, z)
         assert (fm.transpose() * g * fm - g).is_zero()
 
 
@@ -265,7 +266,8 @@ def fraction_jordan_partition(m: RatMatrix, mu: Fraction, mult: int) -> Counter:
 
 
 def _congruent(rng, gram: RatMatrix) -> RatMatrix:
-    p = random_unimodular(rng, gram.rows).to_rat()
+    u = random_unimodular(rng, gram.rows)
+    p = RatMatrix.from_rows(u.entries, u.cols)
     return p.transpose() * gram * p
 
 
@@ -286,7 +288,7 @@ def _jordan_cases(rng):
         yield _congruent(rng, _direct_sum(*parts))
     for n in range(1, 8):
         for _ in range(6):
-            yield random_son_gram(rng, n, bound=rng.choice((1, 2, 4))).to_rat()
+            yield RatMatrix.from_rows(random_son_gram(rng, n, bound=rng.choice((1, 2, 4))).entries)
     # one chain still growing after two powers: {5, 1} at 1, {3, 1} at 2 and 1/2
     yield _congruent(rng, _direct_sum(t1(4), t1(0)))
     yield _congruent(rng, _direct_sum(t2(3, 2), t2(1, 2)))

@@ -21,13 +21,13 @@ from semiortho.exact_linalg import (
     inverse_unimodular,
     kernel_basis,
     mul_trunc,
-    nilpotency_index,
     rank_over_q,
     solve_unimodular,
 )
 from semiortho.k0_pn import DSeries
 
-from conftest import fraction_product, fraction_rank, fraction_rref, random_unimodular
+from conftest import (fraction_product, fraction_rank, fraction_rref, matrix_in, nilpotency_index,
+                      random_unimodular)
 
 
 def naive_det(m: IntMatrix) -> int:
@@ -92,7 +92,7 @@ def test_berkowitz_matches_faddeev_leverrier_int():
             m = IntMatrix.from_rows(rows)
             p = exact_linalg._berkowitz(m)
             assert all(type(c) is int for c in p)
-            assert tuple(p) == faddeev_leverrier(m.to_rat())
+            assert tuple(p) == faddeev_leverrier(RatMatrix.from_rows(m.entries, m.cols))
             count += 1
     assert count == 4 * (9 * 5 - 2)
 
@@ -192,7 +192,7 @@ def test_rat_inverse_of_singular_matrix_raises():
 def test_mixed_integer_and_rational_arithmetic_is_rational():
     a = IntMatrix.from_rows([[1, 2], [0, -3]])
     half = RatMatrix.identity(2).scale(Fraction(1, 2))
-    ar = a.to_rat()
+    ar = RatMatrix.from_rows(a.entries, a.cols)
     for out, ref in ((a * half, ar * half), (half * a, half * ar), (a + half, ar + half),
                      (half + a, half + ar), (a - half, ar - half), (half - a, half - ar)):
         assert type(out) is RatMatrix and out == ref
@@ -206,7 +206,7 @@ def test_mixed_integer_and_rational_arithmetic_is_rational():
 
 def test_shared_base_keeps_the_entry_type():
     a = IntMatrix.from_rows([[1, 2], [0, 1]])
-    r = a.to_rat()
+    r = RatMatrix.from_rows(a.entries, a.cols)
     for m, kind, cast in ((a, IntMatrix, int), (r, RatMatrix, Fraction)):
         for out in (m.transpose(), m + m, m - m, -m, m * m, m.power(3),
                     kind.identity(2), kind.zero(2, 3)):
@@ -216,7 +216,7 @@ def test_shared_base_keeps_the_entry_type():
         assert all(type(x) is cast for x in m.apply([1, 1]))
         assert all(type(x) is cast for x in kind.from_rows([[], []]).apply([]))
     assert a.power(0) == IntMatrix.identity(2) and a.power(5)[0, 1] == 10
-    assert a != r and a.to_rat() == r
+    assert a != r and RatMatrix.from_rows(a.entries, a.cols) == r
     with pytest.raises(ValueError, match="negative power"):
         a.power(-1)
     assert r.power(-2) == r.inverse() * r.inverse()
@@ -240,7 +240,8 @@ def test_char_poly_cayley_hamilton():
         m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)]
                                  for _ in range(n)])
         coeffs = char_poly_rat(m)
-        assert DSeries.from_coeffs(n, coeffs).matrix_in(m.to_rat()).is_zero()
+        assert matrix_in(DSeries.from_coeffs(n, coeffs),
+                         RatMatrix.from_rows(m.entries, m.cols)).is_zero()
         # constant term is (-1)^n det, top coefficient 1
         assert coeffs[-1] == 1
         assert coeffs[0] == (-1) ** n * det(m)
@@ -421,7 +422,8 @@ def test_rank_of_integer_matrices_matches_fraction_rref():
         left = IntMatrix.from_rows([[rng.randint(-40, 40) for _ in range(k)] for _ in range(nr)])
         right = IntMatrix.from_rows([[rng.randint(-40, 40) for _ in range(nc)] for _ in range(k)])
         m = left * right if k else IntMatrix.from_rows([[0] * nc for _ in range(nr)])
-        assert rank_over_q(m) == fraction_rank(m) == rank_over_q(m.to_rat())
+        rat = RatMatrix.from_rows(m.entries, m.cols)
+        assert rank_over_q(m) == fraction_rank(m) == rank_over_q(rat)
 
 
 def test_inverse_unimodular_matches_fraction_rref():
@@ -430,7 +432,8 @@ def test_inverse_unimodular_matches_fraction_rref():
         for _ in range(12):
             m = random_unimodular(rng, n, steps=rng.randint(0, 6 * n))
             inv = inverse_unimodular(m)
-            assert inv.to_rat() == _reference_inverse(m.to_rat())
+            rat = RatMatrix.from_rows(m.entries, m.cols)
+            assert RatMatrix.from_rows(inv.entries, inv.cols) == _reference_inverse(rat)
             assert _entry_types(inv) <= {int}
     for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3, 1, 0], [5, 2, 0], [0, 0, -7]]):
         m = IntMatrix.from_rows(rows)
@@ -543,7 +546,7 @@ def test_products_and_transposes_through_empty_shapes():
             assert (t.rows, t.cols) == (m.cols, m.rows) and t.transpose() == m
         wide = kind.zero(0, 3)
         assert (wide + wide, wide - wide, -wide) == (wide, wide, wide)
-    assert IntMatrix.zero(0, 3).to_rat() == RatMatrix.zero(0, 3)
+    assert RatMatrix.from_rows(IntMatrix.zero(0, 3).entries, 3) == RatMatrix.zero(0, 3)
     assert IntMatrix.from_rows([[], []]).transpose() == IntMatrix.zero(0, 2)
     assert solve_unimodular(IntMatrix.identity(0), IntMatrix.zero(0, 2)).cols == 2
     assert RatMatrix.identity(0).solve(RatMatrix.zero(0, 2)).cols == 2

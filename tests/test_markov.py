@@ -1,8 +1,9 @@
 """Rank-3 trace criterion, Vieta moves, descent traces, vector replay."""
 
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,14 @@ from hypothesis import strategies as st
 
 from semiortho import markov, mutations
 from semiortho.bilinear_form import BilinearLattice, canonical_operator
+from semiortho.classification import DecomposableRational, IrrationalSpectrum, Type1, detect_type
 from semiortho.markov import (
     MOVE_WORDS,
     MarkovTriple,
     NotMarkov,
-    Rank3Class,
     ReductionTrace,
     ZeroTriple,
     apply_word,
-    classify_rank3,
     is_markov,
     realize_trace,
     reduce_to_canonical,
@@ -289,11 +289,23 @@ def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(mon
     assert len(calls) == last
 
 
-def test_classify_rank3():
-    assert classify_rank3(MarkovTriple(3, 3, 3).lattice()).kind == "unipotent"
-    assert classify_rank3(MarkovTriple(2, 0, 0).lattice()) == Rank3Class("minus_case", -1)
-    assert classify_rank3(MarkovTriple(1, 0, 0).lattice()) == Rank3Class("split", 2)
-    with pytest.raises(ValueError):
-        classify_rank3(BilinearLattice.standard(2))
-    with pytest.raises(ValueError):
-        classify_rank3(BilinearLattice.from_rows([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
+def test_rank3_trace_agrees_with_jordan_type():
+    # tr kappa = 3 - a^2 - b^2 - c^2 + abc, against the Jordan type classify reads off kappa
+    named = {(3, 3, 3): (3, Type1(2, 1)),
+             (2, 0, 0): (-1, DecomposableRational((Type1(1, -1), Type1(0, 1))))}
+    for triple, (trace, verdict) in named.items():
+        t = MarkovTriple(*triple)
+        assert trace_kappa_rank3(t) == trace and detect_type(t.lattice()).verdict == verdict
+    assert trace_kappa_rank3(MarkovTriple(1, 0, 0)) == 2
+    assert isinstance(detect_type(MarkovTriple(1, 0, 0).lattice()).verdict, IrrationalSpectrum)
+    # every triple with entries in -6..6: trace 3 is the one eigenvalue 1, trace -1 is
+    # the eigenvalue -1 twice and 1 once
+    hits = Counter()
+    for triple in product(range(-6, 7), repeat=3):
+        t = MarkovTriple(*triple)
+        trace = trace_kappa_rank3(t)
+        eigenvalues = detect_type(t.lattice()).rational_eigenvalues
+        assert (trace == 3) == (eigenvalues == ((1, 3),)), triple
+        assert (trace == -1) == (eigenvalues == ((-1, 2), (1, 1))), triple
+        hits[trace] += 1
+    assert hits[3] == 17 and hits[-1] == 74

@@ -18,7 +18,6 @@ from semiortho.mutations import (
     _flip_gram,
     _mutate_gram,
     _sign_canonical,
-    collection_height,
     is_semiorthonormal,
     left_projection,
     mutate_pair,
@@ -52,7 +51,7 @@ def test_standard_basis_and_gram():
     c = SonCollection.standard_basis(lat)
     assert c.gram().entries == lat.gram.entries
     assert is_semiorthonormal(c)
-    assert collection_height(c.gram().entries) == 6
+    assert max(abs(x) for row in c.gram().entries for x in row) == 6
     flipped = c.flip_sign(0)
     g = flipped.gram()
     assert (g[0, 1], g[0, 2], g[1, 2]) == (-3, -6, 3)
@@ -350,7 +349,7 @@ def _full_orbit_search(c, height_bound, max_nodes):
     used = set()
     while queue:
         g = queue.popleft()
-        if collection_height(g) > height_bound:
+        if max((abs(x) for row in g for x in row), default=0) > height_bound:
             stops.add("height")
             continue
         for nu in range(1, n):
@@ -431,7 +430,7 @@ def test_orbit_search_matches_full_matrix_reference():
         for _ in range(3):
             c = random_son_collection(rng, n) if n > 1 else \
                 SonCollection.standard_basis(BilinearLattice.standard(n))
-            h = collection_height(c.gram().entries)
+            h = max((abs(x) for row in c.gram().entries for x in row), default=0)
             caps = (1, rng.randint(2, 299), 300)
             for bound in sorted({0, 1, h, max(h - 1, 0), 10**30}):
                 for cap in caps:

@@ -1,14 +1,39 @@
 """Static checks on the package, test and script sources."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ("src/semiortho/*.py", "tests/*.py", "scripts/*.py")
+TRACER = "bench/tracer.py"
 
 # imported but unused on purpose: bench/tests checks that the tracer
 # replaces this copy of detect_type_gram
 ALLOWED_UNUSED = {("src/semiortho/cli.py", "detect_type_gram")}
+
+# the public names of src/ that only tests read so far: no command, script or
+# bench/tracer.py reads them.  Each waits for the ROADMAP item that gives it a
+# reader; an entry goes when its name gets one.
+_CLS, _K0 = "src/semiortho/classification.py", "src/semiortho/k0_pn.py"
+AWAITING = {
+    (_CLS, "biorthogonal_split"): "item 3: the root-space split, first step of `congruent`",
+    (_CLS, "standard_type1_gram"): "item 3: the standard forms `congruent` compares against",
+    (_CLS, "standard_type2_gram"): "item 3: the standard forms `congruent` compares against",
+    (_CLS, "zeta_from_kappa"): "item 3: zeta carries the adjoint involution of a type-1 block",
+    (_CLS, "kappa_from_zeta"): "item 3: the way back from zeta to kappa",
+    ("src/semiortho/serialize.py", "decode_rat_matrix"):
+        "item 3: reads the rational Grams `congruent` takes",
+    (_CLS, "type1_isometry_from_odd"): "item 6: the isometry series of a type-1 form",
+    (_CLS, "is_type1_isometry"): "item 6: the isometry law f(-z) f(z) = 1",
+    (_CLS, "isometry_orbit_invariant"): "item 6: the invariant `k0 invariants` prints",
+    (_K0, "integrality_test"): "item 6: the lattice Z[nabla]/nabla^(n+1) of `k0 isometries`",
+    (_K0, "eta_pn"): "item 6: the nilpotent part of kappa on K0(P^n)",
+    (_K0, "zeta_pn"): "item 6: zeta on K0(P^n), the variable of its isometry series",
+    (_K0, "chern_inverse"): "item 6: the class A gamma_n of an integral series A",
+    ("src/semiortho/mutations.py", "mutation_through_submodule"):
+        "item 10: the laws of mutation through a submodule, as a `verify` suite",
+}
 
 # what tests may take from the CLI: the entry point and the limits it enforces
 CLI_EXPORTS = {"main", "K0_MAX_N", "K0_CLASSIFY_MAX_N"}
@@ -53,23 +78,41 @@ def _defined_names(stmt: ast.stmt) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _unread_private_names(trees) -> set[tuple[str, str]]:
-    """Module-level names with one leading underscore that no other top-level
-    statement of any of the modules reads, by name or as an attribute."""
+def _reads(node: ast.AST) -> set[str]:
+    """The names a node reads: loaded names, attributes and the names it imports."""
+    nodes = list(ast.walk(node))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+
+
+def _layer_reads(tree: ast.Module) -> set[str]:
+    """The identifiers in the "module.name" strings of a module-level LAYERS table,
+    the functions bench/tracer.py wraps by name."""
+    return {part for stmt in tree.body if "LAYERS" in _defined_names(stmt)
+            for n in ast.walk(stmt) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            for part in n.value.split(".")}
+
+
+def _unread_names(trees, readers: set[str] = frozenset()) -> set[tuple[str, str]]:
+    """Module-level names, dunders aside, that no other top-level statement of any of
+    the modules reads, by name, as an attribute or by import, and that are not in
+    `readers`, the names read from outside the modules."""
     stmts = [(path, stmt) for path, tree in trees for stmt in tree.body]
-    reads = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
-              and isinstance(n.ctx, ast.Load)}
-             | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-             for _, stmt in stmts]
+    reads = [_reads(stmt) for _, stmt in stmts]
     return {(path, name) for k, (path, stmt) in enumerate(stmts)
             for name in _defined_names(stmt)
-            if name.startswith("_") and not name.startswith("__")
+            if not name.startswith("__") and name not in readers
             and not any(name in r for j, r in enumerate(reads) if j != k)}
+
+
+def _private(names: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    return {(path, name) for path, name in names if name.startswith("_")}
 
 
 def test_every_private_module_name_is_read():
     src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
-    assert _unread_private_names(src) == set()
+    assert _private(_unread_names(src)) == set()
 
 
 def test_private_name_check_sees_a_planted_orphan():
@@ -78,8 +121,53 @@ def test_private_name_check_sees_a_planted_orphan():
                   "def _called():\n    return _USED + _PAIRED\n"
                   "class _Shape:\n    pass\n")
     b = ast.parse("import a\nfrom a import _called\nx = _called(a._Shape)\n")
-    assert _unread_private_names([("a.py", a), ("b.py", b)]) == {
+    assert _private(_unread_names([("a.py", a), ("b.py", b)])) == {
         ("a.py", "_ORPHAN"), ("a.py", "_typed"), ("a.py", "_recursive")}
+
+
+def _awaiting_errors(unread: set[tuple[str, str]], awaiting: dict) -> list[str]:
+    """What keeps the unread public names from being exactly the keys of `awaiting`,
+    each of which must name the ROADMAP item that will read it."""
+    return ([f"{path}: {name} has no reader outside the tests"
+             for path, name in sorted(unread - awaiting.keys())]
+            + [f"{path}: {name} is read now; take it out of AWAITING"
+               for path, name in sorted(awaiting.keys() - unread)]
+            + [f"{path}: {name} names no ROADMAP item" for (path, name), why
+               in sorted(awaiting.items()) if not re.match(r"item \d+: ", why)])
+
+
+def _public_readers() -> set[str]:
+    """The names read by scripts/ and by bench/tracer.py, its LAYERS strings included."""
+    tracer = ast.parse((ROOT / TRACER).read_text(), TRACER)
+    return set().union(_reads(tracer), _layer_reads(tracer),
+                       *(_reads(tree) for path, tree in _trees() if path.startswith("scripts/")))
+
+
+def test_every_public_module_name_has_a_reader():
+    src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
+    unread = {(path, name) for path, name in _unread_names(src, _public_readers())
+              if not name.startswith("_")}
+    assert _awaiting_errors(unread, AWAITING) == []
+
+
+def test_public_name_check_sees_planted_reads_and_a_stale_entry():
+    a = ast.parse("def helper():\n    return 1\n"
+                  "def orphan():\n    return helper()\n"
+                  "def traced():\n    return 2\n"
+                  "class Kernel:\n    pass\n")
+    script = ast.parse("from a import Kernel\n")
+    tracer = ast.parse('LAYERS = {"a": ["traced", "Kernel.mul"]}\n'
+                       '"""orphan, named in a string outside LAYERS"""\n')
+    readers = _reads(script) | _reads(tracer) | _layer_reads(tracer)
+    assert readers == {"Kernel", "a", "traced", "mul"}
+    unread = _unread_names([("a.py", a)], readers)
+    assert unread == {("a.py", "orphan")}
+    assert _awaiting_errors(unread, {("a.py", "orphan"): "item 1: a reader"}) == []
+    assert _awaiting_errors(unread, {}) == ["a.py: orphan has no reader outside the tests"]
+    stale = {("a.py", "orphan"): "item 1: a reader", ("a.py", "traced"): "item 2: read now"}
+    assert _awaiting_errors(unread, stale) == ["a.py: traced is read now; take it out of AWAITING"]
+    assert _awaiting_errors(unread, {("a.py", "orphan"): "some day"}) == [
+        "a.py: orphan names no ROADMAP item"]
 
 
 def _cli_reads(tree: ast.Module) -> set[str]:
