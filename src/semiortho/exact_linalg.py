@@ -63,10 +63,6 @@ class _Matrix:
         one, zero = cls._cast(1), cls._cast(0)
         return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int):
-        return cls(tuple((cls._cast(0),) * cols for _ in range(rows)), cols)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -78,9 +74,6 @@ class _Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def transpose(self):
         return type(self)(_columns(self), self.rows)
@@ -99,20 +92,6 @@ class _Matrix:
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
         return tuple(sum((a * b for a, b in zip(r, v)), self._cast(0)) for r in self.entries)
-
-    def power(self, k: int):
-        if not self.is_square:
-            raise ShapeError("power of non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = self.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def trace(self):
         if not self.is_square:
@@ -172,9 +151,6 @@ class RatMatrix(_Matrix):
         cols = [_cleared(c) for c in _columns(other)]
         return RatMatrix(tuple(tuple(Fraction(sum(map(mul, r, c)), s * t) for t, c in cols)
                                for s, r in rows), other.cols)
-
-    def power(self, k: int) -> "RatMatrix":
-        return self.inverse().power(-k) if k < 0 else super().power(k)
 
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)

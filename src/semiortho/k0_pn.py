@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from .exact_linalg import IntMatrix, RatMatrix, ShapeError, _cleared, exact_int, mul_trunc
 
@@ -101,12 +101,6 @@ class DSeries:
         c = Fraction(c)
         return DSeries(self.n, tuple(c * a for a in self.coeffs))
 
-    def power(self, k: int) -> "DSeries":
-        acc = DSeries.one(self.n)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def negate_variable(self) -> "DSeries":
         """A(D) -> A(-D)."""
         return DSeries(self.n, tuple(a if k % 2 == 0 else -a
@@ -132,12 +126,6 @@ class DSeries:
     def nabla_coords(self) -> tuple[Fraction, ...]:
         """Coordinates over powers of nabla = 1 - e^(-D)."""
         return _substitute(self.coeffs, _d_in_nabla(self.n), self.n)
-
-    def apply(self, f: NumPoly) -> tuple[Fraction, ...]:
-        """Action on a numerical polynomial; gamma-coordinates of the result."""
-        if f.n != self.n:
-            raise ShapeError("mismatched dimensions")
-        return (self * chern(f)).nabla_coords()
 
     def _check(self, other: "DSeries"):
         if self.n != other.n:
@@ -332,9 +320,9 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
       shifts the gamma chain down one step;
     - xi: the Hankel product C H' C^t of the basis coefficients, each row
       cleared of its denominators, over the two row scales and n!;
-    - adams: the sigma-formula (`_sigma_sum`) on the Adams coordinates, each
-      row cleared once, over the two row scales and n!; it is cross-checked
-      in integers against the Hankel product.
+    - adams (Psi_k = D^k / k!): (-1)^k binom(k+l, k) sigma_{n-k-l}(1..n) / n!,
+      the sigma-formula on unit Adams coordinates, which is 0 for k + l > n;
+      it is cross-checked in integers against the Hankel product.
     """
     _check_order(n)
     if basis == "twists":
@@ -349,20 +337,15 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
     if basis == "xi":
         return RatMatrix(tuple(tuple(Fraction(p, s * t * nf) for (t, _), p in zip(cleared, row))
                                for (s, _), row in zip(cleared, direct)))
-    # a row cleared to scale s has Adams coordinates k! r_k / s; cleared once
-    # more by g = gcd(s, k! r_k) they have scale s / g
-    adams = []
-    for s, r in cleared:
-        u = [factorial(k) * x for k, x in enumerate(r)]
-        g = gcd(s, *u)
-        adams.append((s // g, g, [(k, x // g) for k, x in enumerate(u) if x]))
-    via_sigma = [[_sigma_sum(n, a, b) for _, _, b in adams] for _, _, a in adams]
-    # both sides are n! times the pairing, the sigma side over scales s / g
-    if any(x * g * h != p for (_, g, _), xs, ps in zip(adams, via_sigma, direct)
-           for (_, h, _), x, p in zip(adams, xs, ps)):
+    # Psi_k = D^k / k! has the unit Adams coordinates e_k, so the sigma-formula gives
+    # n! <Psi_k, Psi_l> = (-1)^k binom(k+l, k) sigma_{n-k-l}; its row clears to scale k!
+    sigma = _elementary_symmetric(n)
+    via_sigma = [[(-1) ** k * comb(k + l, k) * sigma[n - k - l] if k + l <= n else 0
+                  for l in range(n + 1)] for k in range(n + 1)]
+    if any(x * s * t != p for (s, _), xs, ps in zip(cleared, via_sigma, direct)
+           for (t, _), x, p in zip(cleared, xs, ps)):
         raise AssertionError("sigma-formula disagrees with direct pairing")
-    return RatMatrix(tuple(tuple(Fraction(x, s * t * nf) for (t, _, _), x in zip(adams, xs))
-                           for (s, _, _), xs in zip(adams, via_sigma)))
+    return RatMatrix(tuple(tuple(Fraction(x, nf) for x in xs) for xs in via_sigma))
 
 
 def rank(a: DSeries) -> Fraction:

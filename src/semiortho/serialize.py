@@ -89,11 +89,9 @@ def decode_number(v) -> Fraction:
 
 
 def encode_matrix(m) -> list:
-    if isinstance(m, IntMatrix):
-        return [[encode_int(x) for x in row] for row in m.entries]
-    if isinstance(m, RatMatrix):
-        return [[encode_number(x) for x in row] for row in m.entries]
-    return [[encode_int(int(x)) for x in row] for row in m]
+    """A matrix, or a tuple of int rows, as an array of row arrays."""
+    rows = m.entries if isinstance(m, (IntMatrix, RatMatrix)) else m
+    return [[encode_number(x) for x in row] for row in rows]
 
 
 def decode_int_matrix(v) -> IntMatrix:

@@ -95,9 +95,25 @@ def nilpotency_index(m: RatMatrix) -> int | None:
     return n  # unreachable: Cayley-Hamilton forces m^n = 0
 
 
+def zero_matrix(kind, rows: int, cols: int):
+    """The rows x cols zero matrix of the matrix class `kind`, entries of its own type."""
+    return kind(tuple((kind._cast(0),) * cols for _ in range(rows)), cols)
+
+
+def power(x, k: int, one):
+    """x^k for k >= 0 by square and multiply, `one` the unit of x's ring (an identity
+    matrix or DSeries.one)."""
+    while k:
+        if k & 1:
+            one = one * x
+        x = x * x
+        k >>= 1
+    return one
+
+
 def matrix_in(series, m: RatMatrix) -> RatMatrix:
     """A series (a DSeries) with a square matrix substituted for its variable, by Horner's rule."""
-    acc = RatMatrix.zero(m.rows, m.cols)
+    acc = zero_matrix(RatMatrix, m.rows, m.cols)
     for c in reversed(series.coeffs):
         acc = acc * m + RatMatrix.identity(m.rows).scale(c)
     return acc

@@ -144,7 +144,7 @@ def test_criterion_6_braid_suite():
         core = random_son_gram(rng, n, bound=3)
         sinv = inverse_unimodular(s)
         ambient = BilinearLattice(sinv.transpose() * core * sinv)
-        c = SonCollection(ambient, [s.transpose().row(i) for i in range(n)])
+        c = SonCollection(ambient, list(s.transpose().entries))
         ok = ok and is_semiorthonormal(c) and braid_failures(c) == 0
         if not ok:
             break

@@ -27,7 +27,7 @@ from semiortho.exact_linalg import (
     char_poly_rat,
 )
 
-from conftest import random_unimodular_gram
+from conftest import random_unimodular_gram, zero_matrix
 
 
 def test_lattice_validation():
@@ -186,18 +186,18 @@ def test_semiorthogonal_sum_at_rank_zero():
     for r1 in range(4):
         for r2 in range(4):
             l1, l2 = BilinearLattice.standard(r1), BilinearLattice.standard(r2)
-            lam2, rho1 = sum_projections(l1, l2, IntMatrix.zero(r1, r2))
+            lam2, rho1 = sum_projections(l1, l2, zero_matrix(IntMatrix, r1, r2))
             assert (lam2.rows, lam2.cols, rho1.rows, rho1.cols) == (r2, r1, r1, r2)
-            assert verify_canmatr(l1, l2, IntMatrix.zero(r1, r2))
+            assert verify_canmatr(l1, l2, zero_matrix(IntMatrix, r1, r2))
     # a coupling must be rank(l1) x rank(l2) also when one side is empty
-    for l1, l2, coupling in ((empty, two, IntMatrix.zero(0, 7)),
-                             (empty, two, IntMatrix.zero(0, 0)),
-                             (two, empty, IntMatrix.zero(2, 1)),
-                             (two, empty, IntMatrix.zero(3, 0))):
+    for l1, l2, coupling in ((empty, two, zero_matrix(IntMatrix, 0, 7)),
+                             (empty, two, zero_matrix(IntMatrix, 0, 0)),
+                             (two, empty, zero_matrix(IntMatrix, 2, 1)),
+                             (two, empty, zero_matrix(IntMatrix, 3, 0))):
         with pytest.raises(ShapeError):
             semiorthogonal_sum(l1, l2, coupling)
-    assert semiorthogonal_sum(empty, two, IntMatrix.zero(0, 2)).gram == two.gram
-    assert semiorthogonal_sum(two, empty, IntMatrix.zero(2, 0)).gram == two.gram
+    assert semiorthogonal_sum(empty, two, zero_matrix(IntMatrix, 0, 2)).gram == two.gram
+    assert semiorthogonal_sum(two, empty, zero_matrix(IntMatrix, 2, 0)).gram == two.gram
 
 
 def test_extension_trace_values():

@@ -52,6 +52,7 @@ from conftest import (
     fraction_rref,
     matrix_in,
     nilpotency_index,
+    power,
     random_son_gram,
     random_unimodular,
 )
@@ -471,7 +472,7 @@ def fraction_biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
         evs = (mu,) if mu in (1, -1) else (mu, 1 / mu)
         seen.update(evs)
         basis = [v for ev in evs for v in kernel_basis(
-            (kappa - RatMatrix.identity(n).scale(ev)).power(mults[ev]))]
+            power(kappa - RatMatrix.identity(n).scale(ev), mults[ev], RatMatrix.identity(n)))]
         b = RatMatrix.from_rows(basis).transpose()
         out.append(SplitSummand(evs, tuple(basis), b.transpose() * gram * b))
     for i, s1 in enumerate(out):

@@ -33,6 +33,8 @@ from semiortho import k0_pn
 from semiortho.k0_pn import _basis_series
 from semiortho.properties import sigma_failures
 
+from conftest import power
+
 F = Fraction
 
 
@@ -188,8 +190,8 @@ def test_kappa_eta_zeta():
     for n in range(1, 6):
         kap = kappa_pn(n)
         eta = eta_pn(n)
-        assert eta.power(n).coeffs != (F(0),) * (n + 1)
-        assert eta.power(n + 1).coeffs == (F(0),) * (n + 1)
+        assert power(eta, n, DSeries.one(n)).coeffs != (F(0),) * (n + 1)
+        assert power(eta, n + 1, DSeries.one(n)).coeffs == (F(0),) * (n + 1)
         # duality and isometry of kappa
         basis = _basis_series(n, "adams")
         for a in basis[:3]:
@@ -207,7 +209,7 @@ def test_kappa_eta_zeta():
 def test_kappa_acts_as_signed_translation():
     for n in (2, 3):
         f = twist_class(n, 2)
-        coords = kappa_pn(n).apply(f)
+        coords = (kappa_pn(n) * chern(f)).nabla_coords()
         g = NumPoly(n, tuple(int(c) for c in coords))
         for t in range(-4, 5):
             assert value(g, t) == (-1) ** n * value(f, t - n - 1)
@@ -371,17 +373,17 @@ def test_sparse_sigma_pairing_matches_double_loop():
 
 
 def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
-    # the sigma side of the adams Gram is _sigma_sum over the cleared Adams terms
-    real = k0_pn._sigma_sum
+    # the sigma side of the adams Gram takes binom(k+l, k) from k0_pn.comb, the
+    # Hankel side does not
     for n in (0, 1, 4):
-        # off by one in the single entry pairing Psi_n, whose terms are [(n, 1)], with itself
-        def wrong(m, a, b):
-            return real(m, a, b) + (1 if a == b == [(m, 1)] else 0)
+        # off by one in binom(n, n), met only in the entry pairing Psi_n with Psi_0
+        def wrong(a, b, n=n):
+            return comb(a, b) + (1 if a == b == n else 0)
 
-        monkeypatch.setattr(k0_pn, "_sigma_sum", wrong)
+        monkeypatch.setattr(k0_pn, "comb", wrong)
         with pytest.raises(AssertionError, match="sigma-formula disagrees"):
             gram_matrix(n, "adams")
-        monkeypatch.setattr(k0_pn, "_sigma_sum", real)
+        monkeypatch.setattr(k0_pn, "comb", comb)
         assert gram_matrix(n, "adams") == gram_matrix(n, "adams")
 
 

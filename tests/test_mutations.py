@@ -36,7 +36,7 @@ def random_son_collection(rng, n):
     core = random_son_gram(rng, n, bound=3)
     sinv = inverse_unimodular(s)
     ambient = BilinearLattice(sinv.transpose() * core * sinv)
-    return SonCollection(ambient, [s.transpose().row(i) for i in range(n)])
+    return SonCollection(ambient, list(s.transpose().entries))
 
 
 def test_random_collections_are_semiorthonormal():
@@ -135,7 +135,7 @@ def test_projections_match_fraction_solve():
             if not basis:
                 assert got == (0,) * n
                 continue
-            x = gu.solve(RatMatrix.from_rows([[t] for t in rhs])).transpose().row(0)
+            x = gu.solve(RatMatrix.from_rows([[t] for t in rhs])).transpose().entries[0]
             assert got == tuple(sum(xi * b[k] for xi, b in zip(x, basis)) for k in range(n))
             assert all(type(t) is int for t in got)
 

@@ -12,9 +12,10 @@ TRACER = "bench/tracer.py"
 # replaces this copy of detect_type_gram
 ALLOWED_UNUSED = {("src/semiortho/cli.py", "detect_type_gram")}
 
-# the public names of src/ that only tests read so far: no command, script or
-# bench/tracer.py reads them.  Each waits for the ROADMAP item that gives it a
-# reader; an entry goes when its name gets one.
+# the public names of src/, and the public members of its classes ("Class.member"),
+# that only tests read so far: no command, script or bench/tracer.py reads them.
+# Each waits for the ROADMAP item that gives it a reader; an entry goes when its
+# name gets one.
 _CLS, _K0 = "src/semiortho/classification.py", "src/semiortho/k0_pn.py"
 AWAITING = {
     (_CLS, "biorthogonal_split"): "item 3: the root-space split, first step of `congruent`",
@@ -31,6 +32,7 @@ AWAITING = {
     (_K0, "eta_pn"): "item 6: the nilpotent part of kappa on K0(P^n)",
     (_K0, "zeta_pn"): "item 6: zeta on K0(P^n), the variable of its isometry series",
     (_K0, "chern_inverse"): "item 6: the class A gamma_n of an integral series A",
+    (_K0, "chern"): "item 6: the series A of a class v = A gamma_n that `k0 invariants` takes",
     ("src/semiortho/mutations.py", "mutation_through_submodule"):
         "item 10: the laws of mutation through a submodule, as a `verify` suite",
 }
@@ -78,11 +80,16 @@ def _defined_names(stmt: ast.stmt) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    """The attribute names a node reads, as in `x.name`."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def _reads(node: ast.AST) -> set[str]:
     """The names a node reads: loaded names, attributes and the names it imports."""
     nodes = list(ast.walk(node))
     return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | _attributes(node)
             | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
 
 
@@ -136,17 +143,50 @@ def _awaiting_errors(unread: set[tuple[str, str]], awaiting: dict) -> list[str]:
                in sorted(awaiting.items()) if not re.match(r"item \d+: ", why)])
 
 
-def _public_readers() -> set[str]:
-    """The names read by scripts/ and by bench/tracer.py, its LAYERS strings included."""
+def _public_readers(read=_reads) -> set[str]:
+    """What `read` finds in scripts/ and in bench/tracer.py, with the identifiers of
+    the tracer's LAYERS strings."""
     tracer = ast.parse((ROOT / TRACER).read_text(), TRACER)
-    return set().union(_reads(tracer), _layer_reads(tracer),
-                       *(_reads(tree) for path, tree in _trees() if path.startswith("scripts/")))
+    return set().union(read(tracer), _layer_reads(tracer),
+                       *(read(tree) for path, tree in _trees() if path.startswith("scripts/")))
+
+
+def _members(trees):
+    """(path, "Class.member", def) for each public method or property of a module-level
+    class whose bases are all classes of the modules: a class that subclasses one from
+    outside (an exception, cli._Parser) has hooks that the framework calls."""
+    classes = {s.name for _, tree in trees for s in tree.body if isinstance(s, ast.ClassDef)}
+    for path, tree in trees:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and all(
+                    isinstance(b, ast.Name) and b.id in classes for b in cls.bases):
+                yield from ((path, f"{cls.name}.{d.name}", d) for d in cls.body
+                            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
+
+
+def _unread_members(trees, readers: set[str] = frozenset()) -> set[tuple[str, str]]:
+    """The members of `_members` whose name no statement of the modules outside the
+    member's own body reads as an attribute, and that are not in `readers`.
+
+    An AST has no types: a method counts as read when any `x.name` has its name, so a
+    name defined on two classes counts as read for both, and a local variable of the
+    same name reads nothing."""
+    units = [u for _, tree in trees for stmt in tree.body
+             for u in (stmt.body + stmt.bases + stmt.decorator_list
+                       if isinstance(stmt, ast.ClassDef) else [stmt])]
+    reads = [(u, _attributes(u)) for u in units]
+    return {(path, name) for path, name, d in _members(trees)
+            if (attr := name.split(".")[1]) not in readers
+            and not any(attr in r for u, r in reads if u is not d)}
 
 
 def test_every_public_module_name_has_a_reader():
+    """Module-level names, and the public methods and properties of the classes, that
+    only tests read are exactly the keys of AWAITING."""
     src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
     unread = {(path, name) for path, name in _unread_names(src, _public_readers())
               if not name.startswith("_")}
+    unread |= _unread_members(src, _public_readers(_attributes))
     assert _awaiting_errors(unread, AWAITING) == []
 
 
@@ -168,6 +208,28 @@ def test_public_name_check_sees_planted_reads_and_a_stale_entry():
     assert _awaiting_errors(unread, stale) == ["a.py: traced is read now; take it out of AWAITING"]
     assert _awaiting_errors(unread, {("a.py", "orphan"): "some day"}) == [
         "a.py: orphan names no ROADMAP item"]
+
+
+def test_member_check_sees_planted_reads_and_exempts_framework_subclasses():
+    a = ast.parse("import argparse\n"
+                  "class Kernel:\n"
+                  "    def mul(self):\n        return 1\n"
+                  "    def used(self):\n        return 2\n"
+                  "    def recursive(self, k):\n        return self.recursive(k - 1)\n"
+                  "    def row(self):\n        return 3\n"
+                  "    def _private(self):\n        return 4\n"
+                  "    def __len__(self):\n        return 0\n"
+                  "class Parser(argparse.ArgumentParser):\n"
+                  "    def error(self, message):\n        pass\n"
+                  "class Child(Kernel):\n"
+                  "    def extra(self):\n        return 5\n"
+                  "def rows(m):\n    row = m.entries\n    return row\n")
+    b = ast.parse("from a import Kernel\nKernel().used()\n")
+    tracer = ast.parse('LAYERS = {"a": ["Kernel.mul"]}\n')
+    trees = [("a.py", a), ("b.py", b)]
+    unread = {("a.py", "Kernel.recursive"), ("a.py", "Kernel.row"), ("a.py", "Child.extra")}
+    assert _unread_members(trees) == unread | {("a.py", "Kernel.mul")}
+    assert _unread_members(trees, _attributes(tracer) | _layer_reads(tracer)) == unread
 
 
 def _cli_reads(tree: ast.Module) -> set[str]:
