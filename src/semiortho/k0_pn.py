@@ -5,10 +5,11 @@ gamma_0 (`NumPoly`).  The Chern character sends it to the truncated power
 series in D = d/dt (`DSeries`) of the operator A with A gamma_n equal to it;
 the integral classes are the series with integer coordinates over the powers
 of nabla = 1 - e^(-D).  All series (exponentials, tanh, logarithms) are
-generated from their defining recurrences in exact rationals.  The Gram
-matrices of the Euler pairing are computed in integers: closed binomial forms
-in the twist and binomial bases, the sigma-formula in the Adams basis,
-checked against the Hankel product of the basis coefficients.
+generated from their defining recurrences in exact rationals.  The Euler
+pairing is read from two integer tables by one sparse evaluator, `_bilinear`:
+the moment table `_hankel` and the sigma table `_sigma_table`.  The Grams come
+from closed binomial forms in the twist and binomial bases and from the sigma
+table in the Adams basis, checked there against the moment table.
 """
 
 from __future__ import annotations
@@ -154,14 +155,6 @@ def _d_in_nabla(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _moments(n: int) -> tuple[Fraction, ...]:
-    # D^m gamma_n at 0 equals m! sigma_{n-m}(1..n) / n!
-    sigma = _elementary_symmetric(n)
-    return tuple(Fraction(factorial(m) * sigma[n - m], factorial(n))
-                 for m in range(n + 1))
-
-
-@lru_cache(maxsize=None)
 def _elementary_symmetric(n: int) -> tuple[int, ...]:
     # sigma[k] = e_k(1, 2, ..., n)
     e = [1] + [0] * n
@@ -171,13 +164,21 @@ def _elementary_symmetric(n: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def hilbert_pairing(n: int, a: DSeries, b: DSeries) -> Fraction:
-    """Euler pairing (A(-D) B(D)) gamma_n evaluated at 0."""
-    if a.n != n or b.n != n:
-        raise ShapeError("series dimension must match n")
-    prod = a.negate_variable() * b
-    m = _moments(n)
-    return sum((c * m[k] for k, c in enumerate(prod.coeffs)), Fraction(0))
+@lru_cache(maxsize=None)
+def _hankel(n: int) -> tuple[tuple[int, ...], ...]:
+    """The moment table: row k holds (-1)^k (k+l)! sigma_{n-k-l}(1..n) for l <= n - k,
+    n! times the pairing of D^k with D^l, since D^m gamma_n(0) = m! sigma_{n-m} / n!."""
+    sigma = _elementary_symmetric(n)
+    return tuple(tuple((-1) ** k * factorial(k + l) * sigma[n - k - l] for l in range(n + 1 - k))
+                 for k in range(n + 1))
+
+
+def _sigma_table(n: int) -> list[list[int]]:
+    """The sigma table: row k holds (-1)^k binom(k+l, k) sigma_{n-k-l}(1..n) for
+    l <= n - k, n! times the sigma-formula pairing of the unit Adams coordinates."""
+    sigma = _elementary_symmetric(n)
+    return [[(-1) ** k * comb(k + l, k) * sigma[n - k - l] for l in range(n + 1 - k)]
+            for k in range(n + 1)]
 
 
 def _terms(coords) -> tuple[int, list[tuple[int, int]]]:
@@ -186,30 +187,38 @@ def _terms(coords) -> tuple[int, list[tuple[int, int]]]:
     return s, [(k, x) for k, x in enumerate(cleared) if x]
 
 
-def _sigma_sum(n: int, a, b) -> int:
-    """n! times the sigma-formula pairing of integer Adams coordinates, each given by
-    its nonzero terms (v, a_v), v increasing: the sum over v + w <= n of
-    (-1)^v binom(v+w, v) sigma_{n-v-w} a_v b_w."""
-    sigma = _elementary_symmetric(n)
+def _bilinear(table, a, b) -> int:
+    """The sum of table[k][l] x y over the nonzero terms (k, x) of a and (l, y) of b,
+    as `_terms` gives them; row k stops where the table cuts it."""
     total = 0
-    for v, x in a:
-        for w, y in b:
-            if v + w > n:
+    for k, x in a:
+        row = table[k]
+        for l, y in b:
+            if l >= len(row):
                 break
-            term = comb(v + w, v) * sigma[n - v - w] * x * y
-            total += -term if v & 1 else term
+            total += row[l] * x * y
     return total
 
 
+def hilbert_pairing(n: int, a: DSeries, b: DSeries) -> Fraction:
+    """Euler pairing (A(-D) B(D)) gamma_n evaluated at 0, read from the moment table."""
+    if a.n != n or b.n != n:
+        raise ShapeError("series dimension must match n")
+    s, x = _terms(a.coeffs)
+    t, y = _terms(b.coeffs)
+    return Fraction(_bilinear(_hankel(n), x, y), s * t * factorial(n))
+
+
 def sigma_pairing(n: int, a_coords, b_coords) -> Fraction:
-    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B).
+    """The pairing as (1/n!) sum_k sigma_{n-k}(1..n) alpha_k(A, B) of the Adams
+    coordinates, read from the sigma table.
 
     Each coordinate list is cleared of its denominators once, the sum is taken
-    in integers by `_sigma_sum` and divided once by the two scales and n!.
+    in integers and divided once by the two scales and n!.
     """
     s, a = _terms(a_coords[:n + 1])
     t, b = _terms(b_coords[:n + 1])
-    return Fraction(_sigma_sum(n, a, b), s * t * factorial(n))
+    return Fraction(_bilinear(_sigma_table(n), a, b), s * t * factorial(n))
 
 
 def kappa_pn(n: int) -> DSeries:
@@ -238,13 +247,10 @@ def eta_pn(n: int) -> DSeries:
 
 
 def zeta_pn(n: int) -> DSeries:
-    """zeta = -tanh((n+1) D / 2), generated from the sinh/cosh recurrences."""
+    """zeta = -tanh((n+1) D / 2) = -(e^(cD) - e^(-cD)) (e^(cD) + e^(-cD))^-1, c = (n+1)/2."""
     c = Fraction(n + 1, 2)
-    sinh = DSeries(n, tuple(c ** k / factorial(k) if k % 2 else Fraction(0)
-                            for k in range(n + 1)))
-    cosh = DSeries(n, tuple(c ** k / factorial(k) if k % 2 == 0 else Fraction(0)
-                            for k in range(n + 1)))
-    return -(sinh * cosh.inverse())
+    up, down = DSeries.exp(n, c), DSeries.exp(n, -c)
+    return -((up - down) * (up + down).inverse())
 
 
 _XI_BASIS_N2 = (
@@ -286,29 +292,6 @@ def _basis_series(n: int, basis: str) -> list[DSeries]:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _hankel_product(n: int, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """C H' C^t for the integer rows C over D^0 .. D^n, where H' = n! H holds
-    (-1)^k (k+l)! sigma_{n-k-l} for k + l <= n: n! times the Gram of the basis
-    whose coefficient rows are C.
-
-    Each row of C enters by its nonzero terms only, so the diagonal C of the
-    Adams basis costs O(n^2).
-    """
-    sigma = _elementary_symmetric(n)
-    # row k of H', cut where k + l passes n
-    hankel = [[(-1) ** k * factorial(k + l) * sigma[n - k - l] for l in range(n + 1 - k)]
-              for k in range(n + 1)]
-    terms = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
-    out = []
-    for a in terms:
-        u = [0] * (n + 1)  # the row a H'
-        for k, x in a:
-            for l, h in enumerate(hankel[k]):
-                u[l] += x * h
-        out.append(tuple(sum(u[l] * y for l, y in b) for b in terms))
-    return tuple(out)
-
-
 def gram_matrix(n: int, basis: str) -> RatMatrix:
     """Exact Gram matrix of the Euler pairing in the requested basis.
 
@@ -318,11 +301,10 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
     - binomial (nabla^0 .. nabla^n): (-1)^i binom(n-j, i), which is 0 for
       i + j > n, since nabla^i(-D) = (-1)^i e^(iD) nabla^i(D) and nabla
       shifts the gamma chain down one step;
-    - xi: the Hankel product C H' C^t of the basis coefficients, each row
-      cleared of its denominators, over the two row scales and n!;
-    - adams (Psi_k = D^k / k!): (-1)^k binom(k+l, k) sigma_{n-k-l}(1..n) / n!,
-      the sigma-formula on unit Adams coordinates, which is 0 for k + l > n;
-      it is cross-checked in integers against the Hankel product.
+    - xi: the moment table on the basis coefficients, each row cleared of
+      its denominators, over the two row scales and n!;
+    - adams (Psi_k = D^k / k!): the sigma table over n!, which is 0 for
+      k + l > n; it is cross-checked in integers against the moment table.
     """
     _check_order(n)
     if basis == "twists":
@@ -331,17 +313,16 @@ def gram_matrix(n: int, basis: str) -> RatMatrix:
     if basis == "binomial":
         return RatMatrix(tuple(tuple(Fraction((-1) ** i * comb(n - j, i)) for j in range(n + 1))
                                for i in range(n + 1)))
-    cleared = [_cleared(a.coeffs) for a in _basis_series(n, basis)]
-    direct = _hankel_product(n, [r for _, r in cleared])
+    cleared = [_terms(a.coeffs) for a in _basis_series(n, basis)]
+    hankel = _hankel(n)
+    direct = [[_bilinear(hankel, a, b) for _, b in cleared] for _, a in cleared]
     nf = factorial(n)
     if basis == "xi":
         return RatMatrix(tuple(tuple(Fraction(p, s * t * nf) for (t, _), p in zip(cleared, row))
                                for (s, _), row in zip(cleared, direct)))
-    # Psi_k = D^k / k! has the unit Adams coordinates e_k, so the sigma-formula gives
-    # n! <Psi_k, Psi_l> = (-1)^k binom(k+l, k) sigma_{n-k-l}; its row clears to scale k!
-    sigma = _elementary_symmetric(n)
-    via_sigma = [[(-1) ** k * comb(k + l, k) * sigma[n - k - l] if k + l <= n else 0
-                  for l in range(n + 1)] for k in range(n + 1)]
+    # Psi_k = D^k / k! has the unit Adams coordinates e_k, so n! <Psi_k, Psi_l> is
+    # entry (k, l) of the sigma table; the row of Psi_k clears to scale k!
+    via_sigma = [row + [0] * k for k, row in enumerate(_sigma_table(n))]
     if any(x * s * t != p for (s, _), xs, ps in zip(cleared, via_sigma, direct)
            for (t, _), x, p in zip(cleared, xs, ps)):
         raise AssertionError("sigma-formula disagrees with direct pairing")

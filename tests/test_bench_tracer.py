@@ -152,3 +152,19 @@ def test_tracer_counts_orbit_attempts(monkeypatch, capsys):
     assert t.calls["bilinear_form.pair"] == 9  # the one 3x3 Gram, kept by the collection
     assert t.counters["mutations.orbit_search.nodes"] == 50
     assert t.counters["orbit.new_states"] == 49
+
+
+def test_verify_sigma_pairs_without_a_series_product(monkeypatch, capsys):
+    # both sides of the sigma law are read from integer tables: the moment table
+    # and the sigma table, with no product of series
+    monkeypatch.syspath_prepend(str(BENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        assert semiortho.cli.main(["verify", "--suite", "sigma", "--seed", "0"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.calls["k0_pn.hilbert_pairing"] == 125
+    assert t.calls["k0_pn.sigma_pairing"] == 125
+    assert t.calls["k0_pn.DSeries.mul"] == 0

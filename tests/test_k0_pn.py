@@ -324,12 +324,43 @@ def test_series_inverse():
         DSeries.from_coeffs(2, [0, 1]).inverse()
 
 
+def moments(n: int) -> list[Fraction]:
+    """D^m gamma_n at 0: m! times the coefficient of t^m in (t+1)(t+2)...(t+n) / n!."""
+    poly = [1]  # coefficients of prod_i (t + i), constant term first
+    for i in range(1, n + 1):
+        poly = [i * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return [F(factorial(m) * c, factorial(n)) for m, c in enumerate(poly)]
+
+
+def series_pairing(n: int, a: DSeries, b: DSeries) -> Fraction:
+    """The former hilbert_pairing: the series A(-D) B(D) dotted with the moments."""
+    a_neg = [-c if k & 1 else c for k, c in enumerate(a.coeffs)]
+    prod = mul_trunc(a_neg, b.coeffs, n)
+    return sum((c * m for c, m in zip(prod, moments(n))), F(0))
+
+
+def test_both_pairings_match_the_series_product():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+
+        def series():
+            return DSeries.from_coeffs(n, [rng.choice((0, rng.randint(-9, 9),
+                                                       F(rng.randint(-20, 20), rng.randint(1, 12))))
+                                           for _ in range(n + 1)])
+
+        a, b = series(), series()
+        ref = series_pairing(n, a, b)
+        for val in (hilbert_pairing(n, a, b), sigma_pairing(n, a.adams_coords(), b.adams_coords())):
+            assert type(val) is F and val == ref, (n, a, b)
+
+
 def test_hankel_gram_matches_pairwise_pairing():
     for basis, sizes in (("twists", range(10)), ("adams", range(10)),
                          ("binomial", range(10)), ("xi", (2,))):
         for n in sizes:
             series = _basis_series(n, basis)
-            ref = RatMatrix.from_rows([[hilbert_pairing(n, a, b) for b in series]
+            ref = RatMatrix.from_rows([[series_pairing(n, a, b) for b in series]
                                        for a in series])
             g = gram_matrix(n, basis)
             assert g == ref, (basis, n)
@@ -390,7 +421,7 @@ def test_adams_cross_check_catches_a_wrong_sigma_pairing(monkeypatch):
 def hankel_gram(n: int, basis: str) -> RatMatrix:
     """The former gram_matrix: the Fraction product A H A^t of the basis
     coefficients A and the Hankel moment matrix H[i][j] = (-1)^i m_(i+j)."""
-    m = k0_pn._moments(n)
+    m = moments(n)
     hankel = RatMatrix.from_rows([[(-1) ** i * m[i + j] if i + j <= n else 0
                                    for j in range(n + 1)] for i in range(n + 1)])
     coeffs = RatMatrix.from_rows([a.coeffs for a in _basis_series(n, basis)])
@@ -398,7 +429,7 @@ def hankel_gram(n: int, basis: str) -> RatMatrix:
 
 
 def dense_hankel_product(n: int, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """The former _hankel_product: the dense IntMatrix product C H' C^t."""
+    """The dense IntMatrix product C H' C^t of the rows C and the moment table H'."""
     sigma = k0_pn._elementary_symmetric(n)
     hankel = IntMatrix(tuple(tuple((-1) ** k * factorial(k + l) * sigma[n - k - l]
                                    if k + l <= n else 0 for l in range(n + 1))
@@ -412,7 +443,10 @@ def test_sparse_hankel_product_matches_the_dense_product():
     for _ in range(150):
         n = rng.randint(0, 12)
         rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 2))]
-        assert k0_pn._hankel_product(n, rows) == dense_hankel_product(n, rows), (n, rows)
+        terms = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+        sparse = tuple(tuple(k0_pn._bilinear(k0_pn._hankel(n), a, b) for b in terms)
+                       for a in terms)
+        assert sparse == dense_hankel_product(n, rows), (n, rows)
 
 
 def test_gram_matrix_matches_the_hankel_product():

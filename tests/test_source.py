@@ -2,7 +2,9 @@
 
 import ast
 import re
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ("src/semiortho/*.py", "tests/*.py", "scripts/*.py")
@@ -12,29 +14,50 @@ TRACER = "bench/tracer.py"
 # replaces this copy of detect_type_gram
 ALLOWED_UNUSED = {("src/semiortho/cli.py", "detect_type_gram")}
 
-# the public names of src/, and the public members of its classes ("Class.member"),
-# that only tests read so far: no command, script or bench/tracer.py reads them.
-# Each waits for the ROADMAP item that gives it a reader; an entry goes when its
-# name gets one.
-_CLS, _K0 = "src/semiortho/classification.py", "src/semiortho/k0_pn.py"
+# the names of src/, and the public members of its classes ("Class.member"), that
+# only tests read so far: no command, script or bench/tracer.py reads them, nor
+# anything of src/ that they read.  Each waits for the ROADMAP item that gives it a
+# reader; an entry goes when its name gets one.
+_CLS, _K0, _MUT = ("src/semiortho/classification.py", "src/semiortho/k0_pn.py",
+                   "src/semiortho/mutations.py")
 AWAITING = {
     (_CLS, "biorthogonal_split"): "item 3: the root-space split, first step of `congruent`",
     (_CLS, "standard_type1_gram"): "item 3: the standard forms `congruent` compares against",
     (_CLS, "standard_type2_gram"): "item 3: the standard forms `congruent` compares against",
     (_CLS, "zeta_from_kappa"): "item 3: zeta carries the adjoint involution of a type-1 block",
     (_CLS, "kappa_from_zeta"): "item 3: the way back from zeta to kappa",
+    (_CLS, "SplitSummand"): "item 3: one summand of `biorthogonal_split`",
+    (_CLS, "IrrationalSpectrumError"): "item 3: `biorthogonal_split` on an irrational spectrum",
+    ("src/semiortho/exact_linalg.py", "RatMatrix.scale"):
+        "item 3: the sign eps in `zeta_from_kappa` and `kappa_from_zeta`",
     ("src/semiortho/serialize.py", "decode_rat_matrix"):
         "item 3: reads the rational Grams `congruent` takes",
     (_CLS, "type1_isometry_from_odd"): "item 6: the isometry series of a type-1 form",
     (_CLS, "is_type1_isometry"): "item 6: the isometry law f(-z) f(z) = 1",
     (_CLS, "isometry_orbit_invariant"): "item 6: the invariant `k0 invariants` prints",
+    (_CLS, "odd_coefficient_count"): "item 6: the free parameters of `type1_isometry_from_odd`",
     (_K0, "integrality_test"): "item 6: the lattice Z[nabla]/nabla^(n+1) of `k0 isometries`",
     (_K0, "eta_pn"): "item 6: the nilpotent part of kappa on K0(P^n)",
     (_K0, "zeta_pn"): "item 6: zeta on K0(P^n), the variable of its isometry series",
     (_K0, "chern_inverse"): "item 6: the class A gamma_n of an integral series A",
     (_K0, "chern"): "item 6: the series A of a class v = A gamma_n that `k0 invariants` takes",
-    ("src/semiortho/mutations.py", "mutation_through_submodule"):
+    (_K0, "kappa_pn"): "item 6: kappa on K0(P^n) as a series, whose nilpotent part is `eta_pn`",
+    (_K0, "NumPoly"): "item 6: the class v that `chern` takes and `chern_inverse` gives",
+    (_K0, "NumPoly.from_coords"): "item 6: `chern_inverse` builds its class with it",
+    (_K0, "DSeries.nabla_coords"): "item 6: `chern_inverse` and `integrality_test` read it",
+    (_K0, "DSeries.scale"): "item 6: the sign (-1)^n of `kappa_pn` and `eta_pn`",
+    (_K0, "DSeries.negate_variable"): "item 6: f(-z) in the isometry law of `is_type1_isometry`",
+    (_K0, "DSeries.is_one"): "item 6: the test f(-z) f(z) = 1 of `is_type1_isometry`",
+    (_K0, "_substitute"): "item 6: the change of variable of `chern` and `DSeries.nabla_coords`",
+    (_K0, "_d_in_nabla"): "item 6: D as a series in nabla, for `DSeries.nabla_coords`",
+    (_MUT, "mutation_through_submodule"):
         "item 10: the laws of mutation through a submodule, as a `verify` suite",
+    (_MUT, "AdmissibleSubmodule"): "item 10: the submodule U of `mutation_through_submodule`",
+    (_MUT, "AdmissibleSubmodule.basis_matrix"): "item 10: the projections read it",
+    (_MUT, "InadmissibleError"): "item 10: a U whose restricted Gram is not unimodular",
+    (_MUT, "MembershipError"): "item 10: a vector outside the orthogonal it is mutated from",
+    (_MUT, "left_projection"): "item 10: the L mutation through a submodule",
+    (_MUT, "right_projection"): "item 10: the R mutation through a submodule",
 }
 
 # what tests may take from the CLI: the entry point and the limits it enforces
@@ -101,25 +124,15 @@ def _layer_reads(tree: ast.Module) -> set[str]:
             for part in n.value.split(".")}
 
 
-def _unread_names(trees, readers: set[str] = frozenset()) -> set[tuple[str, str]]:
-    """Module-level names, dunders aside, that no other top-level statement of any of
-    the modules reads, by name, as an attribute or by import, and that are not in
-    `readers`, the names read from outside the modules."""
-    stmts = [(path, stmt) for path, tree in trees for stmt in tree.body]
-    reads = [_reads(stmt) for _, stmt in stmts]
-    return {(path, name) for k, (path, stmt) in enumerate(stmts)
-            for name in _defined_names(stmt)
-            if not name.startswith("__") and name not in readers
-            and not any(name in r for j, r in enumerate(reads) if j != k)}
-
-
 def _private(names: set[tuple[str, str]]) -> set[tuple[str, str]]:
     return {(path, name) for path, name in names if name.startswith("_")}
 
 
 def test_every_private_module_name_is_read():
-    src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
-    assert _private(_unread_names(src)) == set()
+    """The private module-level names that only AWAITING names read are exactly the
+    private keys of AWAITING."""
+    awaiting = {key: why for key, why in AWAITING.items() if key[1].startswith("_")}
+    assert _awaiting_errors(_private(_src_unread()), awaiting) == []
 
 
 def test_private_name_check_sees_a_planted_orphan():
@@ -127,13 +140,13 @@ def test_private_name_check_sees_a_planted_orphan():
                   "def _recursive(x):\n    return _recursive(x - 1)\n"
                   "def _called():\n    return _USED + _PAIRED\n"
                   "class _Shape:\n    pass\n")
-    b = ast.parse("import a\nfrom a import _called\nx = _called(a._Shape)\n")
-    assert _private(_unread_names([("a.py", a), ("b.py", b)])) == {
+    b = ast.parse("import a\nfrom a import _called\nprint(_called(a._Shape))\n")
+    assert _private(_unread([("a.py", a), ("b.py", b)])) == {
         ("a.py", "_ORPHAN"), ("a.py", "_typed"), ("a.py", "_recursive")}
 
 
 def _awaiting_errors(unread: set[tuple[str, str]], awaiting: dict) -> list[str]:
-    """What keeps the unread public names from being exactly the keys of `awaiting`,
+    """What keeps the unread names from being exactly the keys of `awaiting`,
     each of which must name the ROADMAP item that will read it."""
     return ([f"{path}: {name} has no reader outside the tests"
              for path, name in sorted(unread - awaiting.keys())]
@@ -151,56 +164,99 @@ def _public_readers(read=_reads) -> set[str]:
                        *(read(tree) for path, tree in _trees() if path.startswith("scripts/")))
 
 
-def _members(trees):
-    """(path, "Class.member", def) for each public method or property of a module-level
-    class whose bases are all classes of the modules: a class that subclasses one from
-    outside (an exception, cli._Parser) has hooks that the framework calls."""
+class _Unit(NamedTuple):
+    """A piece of a module whose reads count: a top-level statement, or a piece of a
+    module-level class (a statement of its body, a base, a keyword or a decorator)."""
+
+    stmt: ast.stmt  # the top-level statement it belongs to
+    node: ast.AST
+    names: set[tuple[str, str]]  # what its statement defines, as (path, name)
+    member: tuple[str, str] | None  # (path, "Class.member") for a checked member
+    reads: set[str]
+    attributes: set[str]
+
+
+def _units(trees) -> list[_Unit]:
+    """The units of the modules.  A member is checked when it is a public method or
+    property of a class whose bases are all classes of the modules: a class that
+    subclasses one from outside (an exception, cli._Parser) has hooks that the
+    framework calls."""
     classes = {s.name for _, tree in trees for s in tree.body if isinstance(s, ast.ClassDef)}
+    units = []
     for path, tree in trees:
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and all(
-                    isinstance(b, ast.Name) and b.id in classes for b in cls.bases):
-                yield from ((path, f"{cls.name}.{d.name}", d) for d in cls.body
-                            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
+        for stmt in tree.body:
+            names = {(path, name) for name in _defined_names(stmt)}
+            if not isinstance(stmt, ast.ClassDef):
+                units.append(_Unit(stmt, stmt, names, None, _reads(stmt), _attributes(stmt)))
+                continue
+            checked = all(isinstance(b, ast.Name) and b.id in classes for b in stmt.bases)
+            for node in stmt.body + stmt.bases + stmt.keywords + stmt.decorator_list:
+                member = (path, f"{stmt.name}.{node.name}") if checked and isinstance(
+                    node, ast.FunctionDef) and not node.name.startswith("_") else None
+                units.append(_Unit(stmt, node, names, member, _reads(node), _attributes(node)))
+    return units
 
 
-def _unread_members(trees, readers: set[str] = frozenset()) -> set[tuple[str, str]]:
-    """The members of `_members` whose name no statement of the modules outside the
-    member's own body reads as an attribute, and that are not in `readers`.
+def _unread(trees, readers: set[str] = frozenset(), attr_readers: set[str] = frozenset(),
+            awaiting=frozenset()) -> set[tuple[str, str]]:
+    """The module-level names (dunders aside) and the checked members of the modules
+    that no live unit reads.
+
+    A name counts as read when a unit of another top-level statement reads it, by name,
+    as an attribute or by import, or when it is in `readers`, the names read from
+    outside the modules.  A member counts as read when another unit reads its name as
+    an attribute, or when it is in `attr_readers`.  A unit is dead when its member, or
+    every name its statement defines, is dead: a key of `awaiting`, which only tests
+    read so far, or unread.  What a dead unit reads is no read, so the check repeats
+    until no more names fall out.
 
     An AST has no types: a method counts as read when any `x.name` has its name, so a
     name defined on two classes counts as read for both, and a local variable of the
     same name reads nothing."""
-    units = [u for _, tree in trees for stmt in tree.body
-             for u in (stmt.body + stmt.bases + stmt.decorator_list
-                       if isinstance(stmt, ast.ClassDef) else [stmt])]
-    reads = [(u, _attributes(u)) for u in units]
-    return {(path, name) for path, name, d in _members(trees)
-            if (attr := name.split(".")[1]) not in readers
-            and not any(attr in r for u, r in reads if u is not d)}
+    units = _units(trees)
+    defined = {key: u.stmt for u in units for key in u.names if not key[1].startswith("__")}
+    dead = set(awaiting)
+    while True:
+        live = [u for u in units if (not u.names or u.names - dead) and u.member not in dead]
+        unread = {key for key, stmt in defined.items() if key[1] not in readers
+                  and not any(key[1] in u.reads for u in live if u.stmt is not stmt)}
+        unread |= {u.member for u in units if u.member
+                   and (attr := u.member[1].split(".")[1]) not in attr_readers
+                   and not any(attr in v.attributes for v in live if v is not u)}
+        if unread <= dead:
+            return unread
+        dead |= unread
+
+
+@cache
+def _src_unread() -> frozenset[tuple[str, str]]:
+    """`_unread` on src/, with the reads of scripts/ and bench/tracer.py and the
+    AWAITING names dead from the start; both reader checks read it."""
+    src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
+    return frozenset(_unread(src, _public_readers(), _public_readers(_attributes),
+                             AWAITING.keys()))
 
 
 def test_every_public_module_name_has_a_reader():
-    """Module-level names, and the public methods and properties of the classes, that
-    only tests read are exactly the keys of AWAITING."""
-    src = [(path, tree) for path, tree in _trees() if path.startswith("src/")]
-    unread = {(path, name) for path, name in _unread_names(src, _public_readers())
-              if not name.startswith("_")}
-    unread |= _unread_members(src, _public_readers(_attributes))
-    assert _awaiting_errors(unread, AWAITING) == []
+    """The public module-level names, and the public methods and properties of the
+    classes, that only tests and AWAITING names read are exactly the public keys of
+    AWAITING."""
+    unread = _src_unread()
+    awaiting = {key: why for key, why in AWAITING.items() if not key[1].startswith("_")}
+    assert _awaiting_errors(unread - _private(unread), awaiting) == []
 
 
 def test_public_name_check_sees_planted_reads_and_a_stale_entry():
     a = ast.parse("def helper():\n    return 1\n"
                   "def orphan():\n    return helper()\n"
-                  "def traced():\n    return 2\n"
+                  "def traced():\n    return helper() + 1\n"
                   "class Kernel:\n    pass\n")
     script = ast.parse("from a import Kernel\n")
     tracer = ast.parse('LAYERS = {"a": ["traced", "Kernel.mul"]}\n'
                        '"""orphan, named in a string outside LAYERS"""\n')
     readers = _reads(script) | _reads(tracer) | _layer_reads(tracer)
     assert readers == {"Kernel", "a", "traced", "mul"}
-    unread = _unread_names([("a.py", a)], readers)
+    unread = _unread([("a.py", a)], readers)
     assert unread == {("a.py", "orphan")}
     assert _awaiting_errors(unread, {("a.py", "orphan"): "item 1: a reader"}) == []
     assert _awaiting_errors(unread, {}) == ["a.py: orphan has no reader outside the tests"]
@@ -208,6 +264,10 @@ def test_public_name_check_sees_planted_reads_and_a_stale_entry():
     assert _awaiting_errors(unread, stale) == ["a.py: traced is read now; take it out of AWAITING"]
     assert _awaiting_errors(unread, {("a.py", "orphan"): "some day"}) == [
         "a.py: orphan names no ROADMAP item"]
+
+
+def _members(names: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    return {(path, name) for path, name in names if "." in name}
 
 
 def test_member_check_sees_planted_reads_and_exempts_framework_subclasses():
@@ -228,8 +288,32 @@ def test_member_check_sees_planted_reads_and_exempts_framework_subclasses():
     tracer = ast.parse('LAYERS = {"a": ["Kernel.mul"]}\n')
     trees = [("a.py", a), ("b.py", b)]
     unread = {("a.py", "Kernel.recursive"), ("a.py", "Kernel.row"), ("a.py", "Child.extra")}
-    assert _unread_members(trees) == unread | {("a.py", "Kernel.mul")}
-    assert _unread_members(trees, _attributes(tracer) | _layer_reads(tracer)) == unread
+    assert _members(_unread(trees)) == unread | {("a.py", "Kernel.mul")}
+    assert _members(_unread(trees, attr_readers=_attributes(tracer) | _layer_reads(tracer))) \
+        == unread
+
+
+def test_reader_check_drops_what_only_awaiting_names_read():
+    # waiting is AWAITING; helper is read only by waiting, inner only by helper, the
+    # member Series.nabla only by waiting and _substitute only by that member
+    a = ast.parse("def waiting(s):\n    return helper() + s.nabla()\n"
+                  "def helper():\n    return inner()\n"
+                  "def inner():\n    return 1\n"
+                  "def _substitute():\n    return 2\n"
+                  "class Series:\n"
+                  "    def used(self):\n        return 3\n"
+                  "    def nabla(self):\n        return _substitute()\n"
+                  "def main():\n    return Series().used()\n")
+    trees = [("a.py", a)]
+    awaiting = {("a.py", "waiting"): "item 1: a reader"}
+    unread = _unread(trees, {"main"}, awaiting=awaiting.keys())
+    assert unread == {("a.py", "waiting"), ("a.py", "helper"), ("a.py", "inner"),
+                      ("a.py", "Series.nabla"), ("a.py", "_substitute")}
+    # an unread name is dropped whether AWAITING lists it or not
+    assert _unread(trees, {"main"}) == unread
+    assert _awaiting_errors(unread, awaiting) == [
+        f"a.py: {name} has no reader outside the tests"
+        for name in ("Series.nabla", "_substitute", "helper", "inner")]
 
 
 def _cli_reads(tree: ast.Module) -> set[str]:
