@@ -3,8 +3,10 @@
 Splitting is carried out over the rationals only: when the characteristic
 polynomial of the canonical operator has irrational roots the verdict reports
 the factorization instead of decomposing.  Jordan types are computed from
-kernel-rank sequences, never from eigenvector chains: one integer kernel
-chain of c q kappa - c p I serves both the Jordan type and the root split.
+kernel-rank sequences, never from eigenvector chains.  One list of root
+spaces, `_root_spaces`, groups the rational roots for both readers: the
+verdict takes each Jordan type from the integer kernel chain of
+c q kappa - c p I, and the root split takes its basis from the same chain.
 
 The verdict is the Jordan type of kappa.  That fixes the form up to
 congruence over an algebraically closed field, not over Q or Z: the Grams
@@ -169,50 +171,48 @@ def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Coun
         kdims.append(dim)
         if dim >= mult or dim - kdims[-2] <= 1:
             break
-    while len(kdims) <= mult:
-        kdims.append(min(mult, 2 * kdims[-1] - kdims[-2]))
-    at_least = [kdims[j] - kdims[j - 1] for j in range(1, mult + 1)]
-    partition: Counter = Counter()
-    for m_len in range(1, mult + 1):
-        cnt = at_least[m_len - 1] - (at_least[m_len] if m_len < mult else 0)
-        if cnt:
-            partition[m_len] = cnt
-    return partition
+    kdims += range(kdims[-1] + 1, mult + 1)
+    at_least = [b - a for a, b in zip(kdims, kdims[1:])] + [0]
+    exactly = [a - b for a, b in zip(at_least, at_least[1:])]
+    return Counter({length: cnt for length, cnt in enumerate(exactly, start=1) if cnt})
 
 
-def _pick_mu(mu: Fraction) -> Fraction:
-    # canonical representative of the pair {mu, 1/mu}
-    return mu if abs(mu.numerator) >= abs(mu.denominator) else 1 / mu
+def _root_spaces(roots: list[tuple[Fraction, int]]) -> list[tuple[tuple[Fraction, ...], int]]:
+    """The root spaces of kappa in the order of its sorted rational roots.
+
+    Each is (mu,) for mu = +-1, else the pair (mu, 1/mu) with mu the smaller,
+    with the multiplicity of mu.  kappa is similar to its inverse transpose,
+    so 1/mu is a root of the same multiplicity.
+    """
+    spaces = []
+    for mu, mult in roots:
+        if mu in (1, -1):
+            spaces.append(((mu,), mult))
+        elif mu < 1 / mu:
+            spaces.append(((mu, 1 / mu), mult))
+    return spaces
 
 
 def _summands(kappa: IntMatrix | RatMatrix, roots: list[tuple[Fraction, int]]) -> list[Verdict]:
     out: list[Verdict] = []
-    seen_pairs = set()
-    for mu, mult in roots:
-        if mu in (1, -1):
-            eps = int(mu)
-            partition = _jordan_partition(kappa, mu, mult)
-            for length in sorted(partition, reverse=True):
-                cnt = partition[length]
-                if (-1) ** (length - 1) == eps:
-                    out.extend(Type1(length - 1, eps) for _ in range(cnt))
-                else:
-                    # chains of this parity only pair up into type-2 blocks
-                    if cnt % 2:
-                        raise ValueError("odd chain count with mismatched sign; "
-                                         "form cannot be nondegenerate")
-                    out.extend(Type2(length, Fraction(eps)) for _ in range(cnt // 2))
-        else:
-            rep = _pick_mu(mu)
-            if rep in seen_pairs:
-                continue
-            seen_pairs.add(rep)
-            partition = _jordan_partition(kappa, rep, mult)
-            partition_inv = _jordan_partition(kappa, 1 / rep, mult)
-            if partition != partition_inv:
-                raise ValueError("paired root spaces have different cycle types")
-            for length in sorted(partition, reverse=True):
-                out.extend(Type2(length, rep) for _ in range(partition[length]))
+    for evs, mult in _root_spaces(roots):
+        # a pair is named by its eigenvalue above 1 in absolute value
+        mu = max(evs, key=abs)
+        partition = _jordan_partition(kappa, mu, mult)
+        if len(evs) == 2 and partition != _jordan_partition(kappa, 1 / mu, mult):
+            raise ValueError("paired root spaces have different cycle types")
+        for length in sorted(partition, reverse=True):
+            cnt = partition[length]
+            if len(evs) == 2:
+                out.extend(Type2(length, mu) for _ in range(cnt))
+            elif (-1) ** (length - 1) == mu:
+                out.extend(Type1(length - 1, int(mu)) for _ in range(cnt))
+            elif cnt % 2:
+                # chains of this parity only pair up into type-2 blocks
+                raise ValueError("odd chain count with mismatched sign; "
+                                 "form cannot be nondegenerate")
+            else:
+                out.extend(Type2(length, mu) for _ in range(cnt // 2))
     return out
 
 
@@ -232,9 +232,9 @@ def _report(kappa: IntMatrix | RatMatrix) -> FormTypeReport:
     roots, remainder = rational_roots(cp)
     if len(remainder) > 1:
         verdict: Verdict = IrrationalSpectrum(tuple(roots), remainder)
-        return FormTypeReport(cp, tuple(roots), verdict)
-    summands = _summands(kappa, roots)
-    verdict = summands[0] if len(summands) == 1 else DecomposableRational(tuple(summands))
+    else:
+        summands = _summands(kappa, roots)
+        verdict = summands[0] if len(summands) == 1 else DecomposableRational(tuple(summands))
     return FormTypeReport(cp, tuple(roots), verdict)
 
 
@@ -268,19 +268,11 @@ def biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
     if len(remainder) > 1:
         raise IrrationalSpectrumError(
             f"irrational eigenvalues remain (degree {len(remainder) - 1} factor)")
-    groups: list[tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]] = []
-    seen = set()
-    mults = dict(roots)
-    for mu, _ in roots:
-        if mu in seen:
-            continue
-        evs = (mu,) if mu in (1, -1) else (mu, 1 / mu)
-        seen.update(evs)
-        # the chain reaches the multiplicity within that many powers, and
-        # the power it reaches it at has the root space as its kernel
-        basis = [v for ev in evs for v in kernel_basis(
-            next(power for dim, power in _kernel_chain(kappa, ev) if dim >= mults[ev]))]
-        groups.append((evs, basis))
+    # the chain reaches the multiplicity within that many powers, and the
+    # power it reaches it at has the root space as its kernel
+    groups = [(evs, [v for ev in evs for v in kernel_basis(
+                  next(power for dim, power in _kernel_chain(kappa, ev) if dim >= mult))])
+              for evs, mult in _root_spaces(roots)]
     # one product B^t G B over all root-space bases: its diagonal blocks are
     # the restricted Grams, every block off the diagonal must vanish
     b = RatMatrix.from_rows(v for _, basis in groups for v in basis).transpose()
@@ -300,48 +292,33 @@ def standard_type2_gram(k: int, mu) -> RatMatrix:
     """The 2k x 2k anti-triangular standard Gram matrix of a type-2 form.
 
     Upper-right block: mu on the antidiagonal, 1 just right of it; lower-left
-    block: antidiagonal of 1s.
+    block: antidiagonal of 1s.  So row i < k holds mu at column 2k-1-i and 1
+    at column 2k-i, and row k+i holds 1 at column k-1-i.
     """
     mu = Fraction(mu)
     if k < 1:
         raise ValueError("k must be >= 1")
     if mu == 0 or mu == Fraction((-1) ** (k + 1)):
         raise ValueError(f"mu must differ from 0 and (-1)^(k+1) = {(-1) ** (k + 1)}")
-    size = 2 * k
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
     for i in range(k):
-        for j in range(k):
-            if i + j == k - 1:
-                rows[i][k + j] = mu
-                rows[k + i][j] = Fraction(1)
-            if i + j == k and i >= 1:
-                rows[i][k + j] = Fraction(1)
+        rows[i][2 * k - 1 - i] = mu
+        if i:
+            rows[i][2 * k - i] = Fraction(1)
+        rows[k + i][k - 1 - i] = Fraction(1)
     return RatMatrix.from_rows(rows)
 
 
 def standard_type1_gram(n: int) -> RatMatrix:
     """The (n+1) x (n+1) standard Gram matrix of a type-1 form.
 
-    Zero above the antidiagonal; on and below it the entries repeat the right
-    column with alternating signs: G[i][j] = (-1)^j eps c_{i+j-n} with
-    c_0 = c_1 = 1 and c_m = 0 otherwise.
+    Nonzero only on the antidiagonal and just below it, with signs alternating
+    along each row: G[i][j] = (-1)^j (-1)^n for i + j in {n, n+1}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    eps = (-1) ** n
-    c = [0] * (n + 2)
-    c[0] = 1
-    c[1] = 1
-    rows = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if i + j < n:
-                row.append(Fraction(0))
-            else:
-                row.append(Fraction((-1) ** j * eps * c[i + j - n]))
-        rows.append(row)
-    return RatMatrix.from_rows(rows)
+    return RatMatrix.from_rows([[(-1) ** (j + n) if i + j in (n, n + 1) else 0
+                                 for j in range(n + 1)] for i in range(n + 1)])
 
 
 def zeta_from_kappa(kappa: RatMatrix, n: int) -> RatMatrix:
@@ -394,7 +371,7 @@ def type1_isometry_from_odd(odd: Sequence, sign: int, n: int) -> DSeries:
 
 def is_type1_isometry(f: DSeries) -> bool:
     """f(-z) f(z) = 1: f is an isometry of the type-1 form in Q[z]/z^(n+1)."""
-    return (f.negate_variable() * f).is_one()
+    return f.negate_variable() * f == DSeries.one(f.n)
 
 
 def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:

@@ -107,9 +107,6 @@ class DSeries:
         return DSeries(self.n, tuple(a if k % 2 == 0 else -a
                                      for k, a in enumerate(self.coeffs)))
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
     def inverse(self) -> "DSeries":
         """Multiplicative inverse; requires nonzero constant term."""
         if self.coeffs[0] == 0:

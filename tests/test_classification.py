@@ -176,7 +176,6 @@ def test_zeta_series_arithmetic():
     prod = f * g
     assert prod.coeffs == (1, 2, 1, 2)
     assert f.negate_variable().coeffs == (1, -2, 0, 0)
-    assert DSeries.one(3).is_one()
 
 
 @given(st.integers(min_value=1, max_value=6),
@@ -501,6 +500,27 @@ def test_integer_split_matches_fraction_reference():
         assert [s.eigenvalues for s in split] == [s.eigenvalues for s in expected]
         assert [s.basis for s in split] == [s.basis for s in expected]
         assert [s.restricted_gram for s in split] == [s.restricted_gram for s in expected]
+        checked += 1
+    assert checked > 60
+
+
+def _summands_of(report):
+    verdict = report.verdict
+    return verdict.summands if isinstance(verdict, DecomposableRational) else (verdict,)
+
+
+def test_split_and_verdict_agree_summand_for_summand():
+    """The verdicts of the restricted Grams of the split, read in order, are the
+    summands of the verdict of the whole Gram."""
+    rng = random.Random(59)
+    checked = 0
+    for gram in _jordan_cases(rng):
+        try:
+            split = biorthogonal_split(gram)
+        except IrrationalSpectrumError:
+            continue
+        pieces = [x for s in split for x in _summands_of(detect_type_gram(s.restricted_gram))]
+        assert tuple(pieces) == _summands_of(detect_type_gram(gram))
         checked += 1
     assert checked > 60
 

@@ -47,7 +47,6 @@ AWAITING = {
     (_K0, "DSeries.nabla_coords"): "item 6: `chern_inverse` and `integrality_test` read it",
     (_K0, "DSeries.scale"): "item 6: the sign (-1)^n of `kappa_pn` and `eta_pn`",
     (_K0, "DSeries.negate_variable"): "item 6: f(-z) in the isometry law of `is_type1_isometry`",
-    (_K0, "DSeries.is_one"): "item 6: the test f(-z) f(z) = 1 of `is_type1_isometry`",
     (_K0, "_substitute"): "item 6: the change of variable of `chern` and `DSeries.nabla_coords`",
     (_K0, "_d_in_nabla"): "item 6: D as a series in nabla, for `DSeries.nabla_coords`",
     (_MUT, "mutation_through_submodule"):
