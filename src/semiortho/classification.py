@@ -2,11 +2,18 @@
 
 Splitting is carried out over the rationals only: when the characteristic
 polynomial of the canonical operator has irrational roots the verdict reports
-the factorization instead of decomposing.  Jordan types are computed from
-kernel-rank sequences, never from eigenvector chains.  One list of root
-spaces, `_root_spaces`, groups the rational roots for both readers: the
-verdict takes each Jordan type from the integer kernel chain of
-c q kappa - c p I, and the root split takes its basis from the same chain.
+the factorization instead of decomposing.  One list of root spaces,
+`_root_spaces`, groups the rational roots for both readers: the verdict takes
+each Jordan type from the integer kernel chain of c q kappa - c p I, and the
+root split takes its basis from the same chain.
+
+Jordan types are computed from kernel-rank sequences, never from eigenvector
+chains, with one shortcut: a triangular m with constant diagonal mu and no
+zero on the off-diagonal next to it is one Jordan block.  Deleting the first
+row and the last column of a lower triangular m - mu leaves a triangular
+minor whose diagonal is that subdiagonal, so m - mu has rank n - 1 (an upper
+one likewise).  kappa on K0(P^n) over the binomial basis is such a matrix.
+Every other matrix takes the rank path, the shape test's oracle in the tests.
 
 The verdict is the Jordan type of kappa.  That fixes the form up to
 congruence over an algebraically closed field, not over Q or Z: the Grams
@@ -26,6 +33,7 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     ShapeError,
+    _is_triangular,
     char_poly_rat,
     clear_denominators,
     det,
@@ -122,7 +130,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     if len(cur) < 2:
         return sorted(roots.items()), cur
     scale = math.lcm(*(c.denominator for c in cur))
-    ints = [int(c * scale) for c in cur]
+    ints = [c.numerator * (scale // c.denominator) for c in cur]
     denominators = _divisors(ints[-1])
     for p in _divisors(ints[0]):
         for q in denominators:
@@ -130,9 +138,12 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
             if math.gcd(p, q) > 1 or ints[0] % p or ints[-1] % q:
                 continue
             for num in (p, -p):
+                mult = 0
                 while len(ints) > 1 and _poly_eval(ints, num, q) == 0:
-                    roots[Fraction(num, q)] += 1
+                    mult += 1
                     ints = _poly_deflate(ints, num, q)
+                if mult:
+                    roots[Fraction(num, q)] += mult
     if len(ints) < len(cur):
         cur = tuple(cur[-1] * c / ints[-1] for c in ints)
     return sorted(roots.items()), cur
@@ -158,14 +169,33 @@ def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction) -> Iterator[tuple[int,
         power = power * shifted
 
 
+def _is_single_block(m: IntMatrix | RatMatrix, mu: Fraction) -> bool:
+    """m is triangular with diagonal mu and no zero on the off-diagonal next
+    to it, so one Jordan block at mu (see the module docstring)."""
+    a = m.entries
+    off = range(len(a) - 1)
+    # with no zero next to the diagonal on one side, a triangular m of size
+    # 2 or more has its zeros on the other side
+    return (all(r[i] == mu for i, r in enumerate(a))
+            and (all(a[i + 1][i] for i in off) or all(a[i][i + 1] for i in off))
+            and _is_triangular(m))
+
+
 def _jordan_partition(m: IntMatrix | RatMatrix, mu: Fraction, mult: int) -> Counter:
     """Multiset of Jordan chain lengths for eigenvalue mu, from kernel ranks.
+
+    A triangular m that `_is_single_block` accepts has a triangular minor of
+    m - mu of size n - 1 with no zero on its diagonal, so it is one chain of
+    length mult, with no rank taken.  Every other m takes the rank path, which
+    the tests keep as the oracle for the shape test.
 
     kdims[k] - kdims[k-1] counts the chains of length >= k.  The chain stops
     at the multiplicity, or as soon as that count is at most 1: a single
     chain still growing takes the rest of the multiplicity, one dimension per
     power, so the later kernel dimensions need no power and no rank.
     """
+    if _is_single_block(m, mu):
+        return Counter({mult: 1})
     kdims = [0]
     for dim, _ in _kernel_chain(m, mu):
         kdims.append(dim)

@@ -64,16 +64,17 @@ def cmd_mutate(args) -> int:
 # BENCH_22.json: in the slowest basis, adams, the Gram takes 0.20 s at -n 128
 # and 0.26 s at -n 144, within the 1.25 s budget, but it prints 2.0 MB at
 # -n 128 and 3.0 MB at -n 144 (2-vCPU Xeon, Python 3.11).  Output size sets
-# the limit near 128; it stays one below K0_CLASSIFY_MAX_N, so that
-# `k0 classify` reaches past the Gram's limit.
+# the limit near 128; K0_CLASSIFY_MAX_N lies above it, so `k0 classify`
+# reaches past the Gram's limit.
 K0_MAX_N = 127
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
-# BENCH_21.json: classifying the integer kappa over the binomial basis takes
-# 0.51 s at -n 128 and 0.78 s at -n 144, most of it the one rank of
-# kappa - (-1)^n (2-vCPU Xeon, Python 3.11).  The table would admit -n 144;
-# the limit has not been raised.
-K0_CLASSIFY_MAX_N = 128
+# BENCH_26.json: classifying the integer kappa over the binomial basis, with
+# no rank since its one Jordan block is read off its subdiagonal, takes
+# 1.02 s at -n 1280 and 1.63 s at -n 1536, against the 1.25 s budget (2-vCPU
+# Xeon, Python 3.11).  At -n 1280 the report prints 0.36 MB, and its longest
+# coefficient, C(1281, 640), has 384 digits, far below the int-to-decimal limit.
+K0_CLASSIFY_MAX_N = 1280
 
 
 def _check_k0_limit(n: int, limit: int):

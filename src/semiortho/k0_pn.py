@@ -232,10 +232,16 @@ def kappa_matrix(n: int) -> IntMatrix:
     diagonal all (-1)^n.  It equals kappa_of_gram(gram_matrix(n, "binomial"))
     without a Gram or a solve, and every basis of K0(P^n) gives a similar
     matrix, so its char poly and Jordan type are those of the form in any basis.
+
+    Multiplying by a series in nabla is Toeplitz: every column is the first
+    one, col[k] = (-1)^(n+k) C(n+1, k), shifted down.  So the rows are windows
+    of n+1 entries on one line, col reversed and then n zeros: row i is the
+    window that puts col[0] at column i.  The n+1 binomials of col are the only
+    ones computed.
     """
     _check_order(n)
-    return IntMatrix(tuple(tuple((-1) ** (n + i - j) * comb(n + 1, i - j) if j <= i else 0
-                                 for j in range(n + 1)) for i in range(n + 1)))
+    line = tuple((-1) ** (n + k) * comb(n + 1, k) for k in range(n, -1, -1)) + (0,) * n
+    return IntMatrix(tuple(line[n - i:2 * n + 1 - i] for i in range(n + 1)))
 
 
 def eta_pn(n: int) -> DSeries:

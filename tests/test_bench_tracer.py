@@ -94,8 +94,9 @@ def test_tracer_counts_root_candidates(monkeypatch, capsys):
 
 
 def test_k0_classify_ranks_one_power(monkeypatch, capsys):
-    # kappa on K0(P^8) is one Jordan block at 1: dim ker(kappa - 1) = 1 gives
-    # the whole partition, with no power of kappa - 1 taken
+    # kappa on K0(P^8) is one Jordan block at 1, read off its subdiagonal:
+    # kappa_matrix is lower triangular with diagonal 1 and no zero just below
+    # it, so the partition needs no rank and no power of kappa - 1
     monkeypatch.syspath_prepend(str(BENCH))
     t = importlib.import_module("tracer").Tracer()
     t.install()
@@ -105,7 +106,7 @@ def test_k0_classify_ranks_one_power(monkeypatch, capsys):
         t.uninstall()
     capsys.readouterr()
     assert t.calls["classification._jordan_partition"] == 1
-    assert t.calls["exact_linalg.rank_over_q"] == 1
+    assert t.calls["exact_linalg.rank_over_q"] == 0
     assert t.calls["exact_linalg.IntMatrix.mul"] == 0
 
 

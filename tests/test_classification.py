@@ -44,7 +44,7 @@ from semiortho.exact_linalg import (
     kernel_basis,
     rank_over_q,
 )
-from semiortho.k0_pn import DSeries, gram_matrix
+from semiortho.k0_pn import DSeries, gram_matrix, kappa_matrix
 
 from conftest import (
     fraction_product,
@@ -324,6 +324,34 @@ def test_early_stop_matches_full_chain_reference():
             assert _jordan_partition(kappa, mu, mult) == full_chain_jordan_partition(kappa, mu, mult)
             checked += 1
     assert checked > 100
+
+
+def test_single_block_shape_matches_rank_path(monkeypatch):
+    # kappa of K0(P^n), and random integer triangular matrices with diagonal
+    # +-1 and entries in -3..3, lower and upper; those with a zero next to the
+    # diagonal fail the shape test, so the rank path decides them
+    cases = [(kappa_matrix(n), Fraction((-1) ** n), n + 1, True) for n in range(41)]
+    rng = random.Random(67)
+    for _ in range(300):
+        n, mu, lower = rng.randint(2, 7), rng.choice((1, -1)), rng.random() < 0.5
+        rows = [[mu if i == j else rng.randint(-3, 3) if (i > j) == lower else 0
+                 for j in range(n)] for i in range(n)]
+        cases.append((IntMatrix.from_rows(rows), Fraction(mu), n, lower))
+    with monkeypatch.context() as patch:
+        patch.setattr(classification, "_is_single_block", lambda m, mu: False)
+        rank_path = [_jordan_partition(m, mu, mult) for m, mu, mult, _ in cases]
+    shapes = Counter()
+    for (m, mu, mult, lower), expected in zip(cases, rank_path):
+        single = classification._is_single_block(m, mu)
+        shapes[single, lower] += 1
+        assert single == (expected == Counter({mult: 1}))
+        assert _jordan_partition(m, mu, mult) == expected
+        # the full chain ranks every power: 0.1 s for kappa to n = 20, 3.4 s to 40
+        if m.rows <= 21:
+            assert full_chain_jordan_partition(m, mu, mult) == expected
+    assert all(classification._is_single_block(m, mu) for m, mu, _, _ in cases[:41])
+    assert min(shapes[single, lower] for single in (True, False)
+               for lower in (True, False)) > 20
 
 
 def test_jordan_partition_stops_once_one_chain_grows(monkeypatch):

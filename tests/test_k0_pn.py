@@ -457,7 +457,16 @@ def test_gram_matrix_matches_the_hankel_product():
             assert all(type(x) is F for r in g.entries for x in r)
 
 
+def entrywise_kappa_matrix(n: int) -> IntMatrix:
+    """kappa_matrix before its Toeplitz build, kept as its reference: one
+    binomial per entry, (-1)^(n+i-j) C(n+1, i-j) in each row i >= j."""
+    return IntMatrix(tuple(tuple((-1) ** (n + i - j) * comb(n + 1, i - j) if j <= i else 0
+                                 for j in range(n + 1)) for i in range(n + 1)))
+
+
 def test_kappa_matrix_is_kappa_of_the_binomial_gram():
+    for n in range(65):
+        assert kappa_matrix(n) == entrywise_kappa_matrix(n), n
     for n in range(41):
         k = kappa_matrix(n)
         assert type(k) is IntMatrix
