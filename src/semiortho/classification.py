@@ -33,6 +33,7 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     ShapeError,
+    _cleared,
     _is_triangular,
     char_poly_rat,
     clear_denominators,
@@ -129,8 +130,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
         cur = cur[1:]
     if len(cur) < 2:
         return sorted(roots.items()), cur
-    scale = math.lcm(*(c.denominator for c in cur))
-    ints = [c.numerator * (scale // c.denominator) for c in cur]
+    _, ints = _cleared(cur)
     denominators = _divisors(ints[-1])
     for p in _divisors(ints[0]):
         for q in denominators:

@@ -157,7 +157,7 @@ class RatMatrix(_Matrix):
         return RatMatrix(tuple(tuple(c * a for a in r) for r in self.entries), self.cols)
 
     def det(self) -> Fraction:
-        """Bareiss determinant of the matrix with each row's denominators cleared."""
+        """`det` of the matrix with each row's denominators cleared, over their product."""
         cleared = [_cleared(r) for r in self.entries]
         return Fraction(det(IntMatrix(tuple(tuple(r) for _, r in cleared))),
                         math.prod(s for s, _ in cleared))
@@ -188,7 +188,10 @@ def _cleared(entries) -> tuple[int, list[int]]:
 
 
 def clear_denominators(m: _Matrix) -> tuple[int, IntMatrix]:
-    """(c, c * m) with c the least common denominator of all entries of m."""
+    """(c, c * m) with c the least common denominator of all entries of m: (1, m) itself
+    for an IntMatrix."""
+    if isinstance(m, IntMatrix):
+        return 1, m
     c = math.lcm(*(a.denominator for r in m.entries for a in r))
     return c, IntMatrix(tuple(tuple(a.numerator * (c // a.denominator) for a in r)
                               for r in m.entries), m.cols)
@@ -203,28 +206,15 @@ def int_text(x: int) -> str:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant: prod a_ii of a triangular m, else fraction-free Bareiss elimination."""
+    """Exact determinant: prod a_ii of a triangular m, else sign * d from the row echelon
+    form of `_rref`, or 0 when it finds fewer than n pivots."""
     if not m.is_square:
         raise ShapeError("determinant of non-square matrix")
     n = m.rows
     if _is_triangular(m):
         return math.prod(m.entries[i][i] for i in range(n))
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = _rref([list(r) for r in m.entries], n, full=False)
+    return sign * d if len(pivots) == n else 0
 
 
 def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[int], int, int]:
@@ -238,7 +228,8 @@ def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[in
     augmented block) are carried along.  Returns the pivot columns, d and the
     sign of the row permutation: a square matrix of full rank has
     determinant sign * d.  With full=False only the rows below each pivot
-    are reduced (a row echelon form), which is all a rank needs.
+    are reduced (a row echelon form), which is all a rank or a determinant
+    needs.
     """
     pivots: list[int] = []
     d, sign = 1, 1

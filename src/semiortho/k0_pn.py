@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact_linalg import IntMatrix, RatMatrix, ShapeError, _cleared, exact_int, mul_trunc
+from .exact_linalg import (IntMatrix, RatMatrix, ShapeError, _cleared, _linear_factors, exact_int,
+                           mul_trunc)
 
 
 def _check_order(n: int):
@@ -153,12 +154,8 @@ def _d_in_nabla(n: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _elementary_symmetric(n: int) -> tuple[int, ...]:
-    # sigma[k] = e_k(1, 2, ..., n)
-    e = [1] + [0] * n
-    for i in range(1, n + 1):
-        for k in range(min(i, n), 0, -1):
-            e[k] += i * e[k - 1]
-    return tuple(e)
+    # sigma[k] = e_k(1, 2, ..., n), the coefficient of x^(n-k) in (x + 1)...(x + n)
+    return tuple(_linear_factors(range(-n, 0))[::-1])
 
 
 @lru_cache(maxsize=None)

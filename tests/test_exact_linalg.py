@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiortho import exact_linalg
@@ -117,6 +117,25 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
         min_size=n, max_size=n))
 
 
+def _with_det_cases(test):
+    """The test with explicit examples that -9..9 entries rarely give: every
+    non-triangular permutation matrix of size <= 5, which needs row swaps and
+    has the sign of its permutation as determinant, and the oracle cases up
+    to n = 6, which repeat a row or are nilpotent, zero or scalar."""
+    cases = []
+    for n in range(6):
+        for perm in permutations(range(n)):
+            rows = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            if not exact_linalg._is_triangular(IntMatrix.from_rows(rows)):
+                cases.append(rows)
+    rng = random.Random(71)
+    cases += [rows for rows in _oracle_cases(rng, lambda: rng.randint(-9, 9)) if len(rows) <= 6]
+    for rows in cases:
+        test = example(rows)(test)
+    return test
+
+
+@_with_det_cases
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_det_matches_leibniz_oracle(rows):
@@ -493,7 +512,8 @@ def test_triangular_non_unimodular_keeps_the_elimination_message():
 
 def test_triangular_det_matches_bareiss(monkeypatch):
     # prod a_ii of an upper, lower or diagonal matrix, zeros on the diagonal
-    # included, against the Bareiss loop the triangular test otherwise skips
+    # included, against the row echelon form of `_rref` that the triangular
+    # test otherwise skips
     rng = random.Random(67)
     keep = {"upper": lambda i, j: i <= j, "lower": lambda i, j: i >= j,
             "diagonal": lambda i, j: i == j}
@@ -566,6 +586,9 @@ def test_char_poly_rat_with_mixed_row_denominators():
         assert cp == faddeev_leverrier(m)
     c, cm = clear_denominators(RatMatrix.from_rows([[Fraction(1, 6), 2], [Fraction(3, 4), 0]]))
     assert (c, cm) == (12, IntMatrix.from_rows([[2, 24], [9, 0]]))
+    m = IntMatrix.from_rows([[3, -1], [0, 2]])
+    result = clear_denominators(m)
+    assert result == (1, m) and result[1] is m
 
 
 def test_char_poly_rat_triangular_path_matches_berkowitz(monkeypatch):
