@@ -32,7 +32,7 @@ from time import perf_counter
 import _trees
 
 # command -> (NS, columns)
-TABLES = {"classify": ((128, 256, 512, 768, 1024, 1280, 1536), ("kappa",)),
+TABLES = {"classify": ((128, 256, 512, 768, 1024, 1280, 1536, 1792, 2048, 2304, 2560), ("kappa",)),
           "gram": ((24, 32, 36, 40, 48, 56, 64, 80, 96, 112, 128, 144),
                    ("twists", "binomial", "adams"))}
 REPEATS = 3

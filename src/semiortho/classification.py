@@ -2,10 +2,13 @@
 
 Splitting is carried out over the rationals only: when the characteristic
 polynomial of the canonical operator has irrational roots the verdict reports
-the factorization instead of decomposing.  One list of root spaces,
-`_root_spaces`, groups the rational roots for both readers: the verdict takes
-each Jordan type from the integer kernel chain of c q kappa - c p I, and the
-root split takes its basis from the same chain.
+the factorization instead of decomposing.  `_spectrum` gives both readers,
+the verdict and the root split, the char poly and its rational roots: a
+triangular kappa's roots are its diagonal entries, and only other matrices
+search the divisor candidates of `rational_roots`.  One list of root spaces,
+`_root_spaces`, groups those roots for both readers: the verdict takes each
+Jordan type from the integer kernel chain of c q kappa - c p I, and the root
+split takes its basis from the same chain.
 
 Jordan types are computed from kernel-rank sequences, never from eigenvector
 chains, with one shortcut: a triangular m with constant diagonal mu and no
@@ -149,6 +152,19 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     return sorted(roots.items()), cur
 
 
+def _spectrum(m: IntMatrix | RatMatrix) -> tuple[tuple[Fraction, ...],
+                                                list[tuple[Fraction, int]], tuple[Fraction, ...]]:
+    """Char poly of m, its sorted rational roots with multiplicities, and the rootless
+    remainder.  A triangular m splits into its diagonal entries, so its roots are counted
+    there and the remainder is 1; every other m searches with `rational_roots`, which
+    the tests keep as the diagonal's oracle."""
+    cp = char_poly_rat(m)
+    if not _is_triangular(m):
+        return (cp, *rational_roots(cp))
+    counts = Counter(r[i] for i, r in enumerate(m.entries))
+    return cp, sorted((Fraction(mu), mult) for mu, mult in counts.items()), (Fraction(1),)
+
+
 def _kernel_chain(m: IntMatrix | RatMatrix, mu: Fraction) -> Iterator[tuple[int, IntMatrix]]:
     """(dim ker (m - mu I)^k, an integer matrix with that kernel), k = 1, 2, ...
 
@@ -258,8 +274,7 @@ def kappa_of_gram(gram: RatMatrix) -> RatMatrix:
 
 def _report(kappa: IntMatrix | RatMatrix) -> FormTypeReport:
     """Char poly of kappa, its rational roots and the Jordan verdict."""
-    cp = char_poly_rat(kappa)
-    roots, remainder = rational_roots(cp)
+    cp, roots, remainder = _spectrum(kappa)
     if len(remainder) > 1:
         verdict: Verdict = IrrationalSpectrum(tuple(roots), remainder)
     else:
@@ -293,8 +308,7 @@ def biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
     orders; a failure means an implementation bug, not bad input.
     """
     kappa = kappa_of_gram(gram)
-    cp = char_poly_rat(kappa)
-    roots, remainder = rational_roots(cp)
+    _, roots, remainder = _spectrum(kappa)
     if len(remainder) > 1:
         raise IrrationalSpectrumError(
             f"irrational eigenvalues remain (degree {len(remainder) - 1} factor)")

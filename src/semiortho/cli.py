@@ -69,14 +69,15 @@ def cmd_mutate(args) -> int:
 K0_MAX_N = 127
 
 # Largest -n of `k0 classify`, from the table of scripts/k0_rate.py in
-# BENCH_27.json: classifying the integer kappa over the binomial basis, with
-# no rank since its one Jordan block is read off its subdiagonal and no copy
-# of kappa for the char poly, takes 0.60 s at -n 1280 and 1.02 s at -n 1536,
-# against the 1.25 s budget (2-vCPU Xeon, Python 3.11).  1536 is within the
-# budget, but raising the limit is left to a later change.  At -n 1280 the
-# report prints 0.36 MB, and its longest coefficient, C(1281, 640), has 384
-# digits, far below the int-to-decimal limit.
-K0_CLASSIFY_MAX_N = 1280
+# BENCH_28.json: classifying the integer kappa over the binomial basis takes
+# no rank, since its one Jordan block is read off its subdiagonal, and no
+# root search, since its roots are its diagonal.  It takes 0.19 s at -n 1280,
+# 0.54 s at -n 2048 and 0.94 s at -n 2560, against the 1.25 s budget
+# (2-vCPU Xeon, Python 3.11); what is left is building kappa and expanding
+# its char poly.  At -n 2560 the report prints 1.43 MB, below the 2.0 MB that
+# sets K0_MAX_N, and its longest coefficient, C(2561, 1280), has 770 digits,
+# far below the int-to-decimal limit.
+K0_CLASSIFY_MAX_N = 2560
 
 
 def _check_k0_limit(n: int, limit: int):

@@ -313,10 +313,11 @@ def _berkowitz(m: IntMatrix) -> list:
 
 
 def _is_triangular(m: _Matrix) -> bool:
-    """Square, with zeros everywhere above or everywhere below the diagonal."""
+    """Square, with zeros everywhere above or everywhere below the diagonal; each row's
+    part off the diagonal is one slice for the builtin `any`, with no Python step per entry."""
     a = m.entries
-    return m.is_square and (not any(x for i, r in enumerate(a) for x in r[i + 1:])
-                            or not any(x for i, r in enumerate(a) for x in r[:i]))
+    return m.is_square and (not any(any(r[i + 1:]) for i, r in enumerate(a))
+                            or not any(any(r[:i]) for i, r in enumerate(a)))
 
 
 def _linear_factors(roots: Iterable) -> list:
@@ -333,8 +334,10 @@ def char_poly_rat(m: _Matrix) -> tuple[Fraction, ...]:
     Returns coefficients lowest degree first; leading coefficient is 1.
     With c the common denominator, det(xI - m) = det(cxI - cm) / c^n, so the
     integer char poly of cm gives coefficient k of this one over c^(n-k).
-    A triangular cm has char poly prod (x - cm_ii); any other goes through
-    Berkowitz.
+    A triangular cm has char poly prod (x - cm_ii), expanded from its
+    diagonal; any other goes through Berkowitz.  The roots of a triangular m
+    are read off its diagonal by `classification._spectrum`, not off this
+    expansion.
     """
     c, cm = clear_denominators(m)
     n = m.rows

@@ -79,13 +79,15 @@ def test_one_inverse_per_form(monkeypatch):
 
 
 def test_tracer_counts_root_candidates(monkeypatch, capsys):
-    # K0(P^3) in the twists basis: kappa has char poly (x + 1)^4, so +1 misses
-    # once and -1 is divided out four times before the polynomial is constant
+    # the twist Gram of K0(P^3): its kappa is not triangular, so its roots are
+    # searched for; the char poly is (x + 1)^4, so +1 misses once and -1 is
+    # divided out four times before the polynomial is constant
     monkeypatch.syspath_prepend(str(BENCH))
     t = importlib.import_module("tracer").Tracer()
     t.install()
     try:
-        assert semiortho.cli.main(["k0", "classify", "-n", "3"]) == 0
+        gram = '{"gram": [[1, 4, 10, 20], [0, 1, 4, 10], [0, 0, 1, 4], [0, 0, 0, 1]]}'
+        assert semiortho.cli.main(["classify", "--inline", gram]) == 0
     finally:
         t.uninstall()
     capsys.readouterr()
@@ -112,7 +114,8 @@ def test_k0_classify_ranks_one_power(monkeypatch, capsys):
 
 def test_k0_classify_builds_no_gram(monkeypatch, capsys):
     # every basis classifies the integer kappa of k0_pn.kappa_matrix: no Gram,
-    # no solve, no rational product, one char poly
+    # no solve, no rational product, one char poly, and no root search, since
+    # that kappa is triangular and its roots are its diagonal
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracer")
     for basis in ("twists", "adams", "binomial"):
@@ -127,6 +130,8 @@ def test_k0_classify_builds_no_gram(monkeypatch, capsys):
         assert t.calls["classification.kappa_of_gram"] == 0, basis
         assert t.calls["exact_linalg.RatMatrix.mul"] == 0, basis
         assert t.calls["exact_linalg.char_poly_rat"] == 1, basis
+        assert t.calls["classification.rational_roots"] == 0, basis
+        assert t.counters["roots.candidates"] == 0, basis
 
 
 def test_tracer_counts_orbit_attempts(monkeypatch, capsys):

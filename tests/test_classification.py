@@ -479,6 +479,45 @@ def test_integer_rational_roots_match_fraction_reference():
         assert all(type(c) is Fraction for c in remainder)
 
 
+def test_triangular_spectrum_matches_root_search(monkeypatch):
+    # the roots of a triangular matrix are read off its diagonal; the divisor
+    # search of rational_roots on its char poly is the oracle.  Diagonals draw
+    # from a small pool so values repeat, with zero, negative and (for a
+    # RatMatrix) non-integral values; lower, upper and diagonal shapes
+    rng = random.Random(73)
+    keep = {"lower": lambda i, j: i >= j, "upper": lambda i, j: i <= j,
+            "diagonal": lambda i, j: i == j}
+    cases = [kappa_matrix(n) for n in range(41)]
+    for kind in (IntMatrix, RatMatrix):
+        for kept in keep.values():
+            for _ in range(340):
+                n = rng.randint(0, 7)
+                pool = [rng.randint(-4, 4) if kind is IntMatrix or rng.random() < 0.5
+                        else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                        for _ in range(rng.randint(1, 3))]
+                rows = [[rng.choice(pool) if i == j else rng.randint(-3, 3) if kept(i, j) else 0
+                         for j in range(n)] for i in range(n)]
+                cases.append(kind.from_rows(rows))
+    expected = [(char_poly_rat(m), *rational_roots(char_poly_rat(m))) for m in cases]
+
+    def no_search(coeffs):
+        raise AssertionError("a triangular matrix searched for its roots")
+
+    monkeypatch.setattr(classification, "rational_roots", no_search)
+    seen = Counter()
+    for m, (cp, roots, remainder) in zip(cases, expected):
+        spectrum = classification._spectrum(m)
+        assert spectrum == (cp, roots, remainder)
+        assert all(type(r) is Fraction and type(k) is int for r, k in spectrum[1])
+        assert all(type(c) is Fraction for c in spectrum[2])
+        seen["repeated"] += any(k > 1 for _, k in roots)
+        seen["zero"] += any(r == 0 for r, _ in roots)
+        seen["negative"] += any(r < 0 for r, _ in roots)
+        seen["non-integral"] += any(r.denominator > 1 for r, _ in roots)
+        seen["distinct"] += len(roots) > 1
+    assert len(cases) >= 2000 and min(seen.values()) > 200
+
+
 def fraction_biorthogonal_split(gram: RatMatrix) -> list[SplitSummand]:
     """The former Fraction biorthogonal_split, kept as the reference for the integer chain.
 

@@ -527,6 +527,32 @@ def test_triangular_det_matches_bareiss(monkeypatch):
     assert 0 in fast and any(abs(d) > 1 for d in fast)
 
 
+def test_is_triangular_matches_entry_definition():
+    # the row-slice scan against the definition, entry by entry: square, and
+    # zero above the diagonal or zero below it
+    def triangular(m):
+        a = m.entries
+        return m.rows == m.cols and (all(a[i][j] == 0 for i in range(m.rows)
+                                         for j in range(m.cols) if j > i)
+                                     or all(a[i][j] == 0 for i in range(m.rows)
+                                            for j in range(m.cols) if j < i))
+
+    rng = random.Random(79)
+    cases = [zero_matrix(kind, r, c) for kind in (IntMatrix, RatMatrix)
+             for r in range(3) for c in range(3)]
+    for _ in range(1500):
+        r = rng.randint(0, 5)
+        c = r if rng.random() < 0.8 else rng.randint(0, 5)
+        sparsity = rng.random()
+        rows = [[0 if rng.random() < sparsity else rng.choice((1, -2, Fraction(1, 3)))
+                 for _ in range(c)] for _ in range(r)]
+        kind = RatMatrix if any(type(x) is Fraction for row in rows for x in row) else IntMatrix
+        cases.append(kind.from_rows(rows, c))
+    verdicts = [exact_linalg._is_triangular(m) for m in cases]
+    assert verdicts == [triangular(m) for m in cases]
+    assert 300 < sum(verdicts) < len(cases) - 300
+
+
 def test_rat_product_matches_fraction_product():
     rng = random.Random(47)
     cases = list(_rational_cases(rng))
