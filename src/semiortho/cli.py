@@ -4,17 +4,28 @@ Exit codes: 0 success, 1 malformed input, 2 property violation found.
 `main` alone maps exceptions to exit codes: a malformed command line, or a
 `ValueError` or `IndexError` from the library or the input checks here, is
 malformed input, exit 1 with an `error:` line on stderr; an `AssertionError`
-is a property violation, exit 2.  The commands only parse, call the library
-(`verify` calls the laws of `properties`) and encode.
+is a property violation, exit 2; a stdout closed by its reader exits 1 with
+nothing on stderr.  The commands only parse, call the library (`verify`
+calls the laws of `properties`) and encode.
 All output is exact JSON (deterministic byte-for-byte); --output pretty
 switches to indented rendering.
+
+The command line is read by one loop, `_read`, from one table, `COMMANDS`,
+which gives each command path its function, options and positionals.  It
+reads what argparse would: options in any order, `--name value`,
+`--name=value`, `-nVALUE`, unique prefixes of long options, negative numbers
+as values, `--` before positionals, and `-h`/`--help` at every level, which
+prints the usage from the table and exits 0.  The tests keep the argparse
+parser it replaced as its reference.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import os
+import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import properties, serialize
 # detect_type_gram is unused here, but bench/tests checks that the tracer
@@ -149,92 +160,256 @@ def cmd_verify(args) -> int:
     return 0 if passed else 2
 
 
-def _integer(text: str) -> int:
-    """A command-line integer, read as a JSON integer literal: ASCII [+-]?[0-9]+.
-    int() alone also takes non-ASCII digits, "_" and surrounding spaces."""
-    try:
-        return serialize.decode_int(text)
-    except InputFormatError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+class _Arg(NamedTuple):
+    """An option ("-n", "--basis") or a positional ("a") of a command.  `read`
+    turns its text into its value: a converter, or the tuple of its choices."""
+    name: str
+    read: Callable[[str], object] | tuple[str, ...] = str
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
 
 
-class _Parser(argparse.ArgumentParser):
-    """A malformed command line is malformed input: exit 1 through main, not 2."""
+class _Command(NamedTuple):
+    """One level of the command line.  A group (func None) has no positionals:
+    its next word names a subcommand, a path of COMMANDS one word longer."""
+    func: Callable | None
+    help: str
+    options: tuple[_Arg, ...] = ()
+    positionals: tuple[_Arg, ...] = ()
 
-    def error(self, message):
-        raise InputFormatError(message)
+
+# a command-line integer is read as a JSON integer literal, ASCII [+-]?[0-9]+:
+# int() alone also takes non-ASCII digits, "_" and surrounding spaces
+_integer = serialize.decode_int
+_INPUT = (_Arg("--file", help="read JSON input from a file (stdin without --file or --inline)"),
+          _Arg("--inline", help="JSON input given on the command line"))
+# options that exclude each other
+_EXCLUSIVE = {"--file": "--inline", "--inline": "--file"}
+
+COMMANDS = {
+    (): _Command(None, "Exact arithmetic for non-symmetric unimodular bilinear forms",
+                 (_Arg("--output", ("json", "pretty"), "json"),)),
+    ("classify",): _Command(cmd_classify, "classify a lattice form by its canonical operator",
+                            _INPUT),
+    ("mutate",): _Command(cmd_mutate, "apply a braid word to a collection", _INPUT + (
+        _Arg("--word", default="", help="mutations L<nu>/R<nu> (nu from 1) and sign flips F<i> "
+                                        '(i from 0), applied left to right, like "F0 L1 R2"'),)),
+    ("k0",): _Command(None, "projective-space lattice computations"),
+    ("k0", "gram"): _Command(cmd_k0_gram, "the Gram matrix of the Euler form on K0(P^n)", (
+        _Arg("-n", _integer, required=True, help="the n of P^n"), _Arg("--basis", BASES, "adams"))),
+    ("k0", "rank"): _Command(cmd_k0_rank, "the rank of a class given by its series coefficients",
+                             _INPUT + (_Arg("-n", _integer, help="truncation order"),)),
+    ("k0", "classify"): _Command(cmd_k0_classify, "the Jordan type of kappa on K0(P^n)", (
+        _Arg("-n", _integer, required=True, help="the n of P^n"), _Arg("--basis", BASES, "twists"))),
+    ("markov",): _Command(cmd_markov, "rank-3 Markov triples", positionals=(
+        _Arg("subcmd", ("check", "reduce"), help="test the trace criterion, or reduce to (3,3,3)"),
+        _Arg("a", _integer, help="the entries of the triple"), _Arg("b", _integer), _Arg("c", _integer))),
+    ("orbit",): _Command(cmd_orbit, "search the mutation orbit of a collection", _INPUT + (
+        _Arg("--height-bound", _integer, 100, help="expand no Gram with an entry above this"),
+        _Arg("--max-nodes", _integer, 100000, help="cap on the orbit's size"))),
+    ("verify",): _Command(cmd_verify, "run invariant suites", (
+        _Arg("--suite", tuple(sorted(properties.SUITES)) + ("all",), "all"),
+        _Arg("--seed", _integer, 0, help="seed of the draws"))),
+}
+
+_HELP = _Arg("-h", help="show this help and exit")
+# the option names each level reads, every level with -h and --help
+_OPTIONS = {path: {"-h": _HELP, "--help": _HELP, **{a.name: a for a in command.options}}
+            for path, command in COMMANDS.items()}
+# argparse's test for a token that is a negative number, so an argument
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="semiortho",
-        description="Exact arithmetic for non-symmetric unimodular bilinear forms")
-    parser.add_argument("--output", choices=("json", "pretty"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _mark(token: str, options: dict):
+    """What a token is at a level with these options, by argparse's rules: None
+    for an argument, else (option name, its value in the token or None), with
+    name None for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":  # a unique prefix of a long option
+        hits = [(o, value if eq else None) for o in options if o.startswith(name)]
+    else:  # -nVALUE
+        hits = [(token[:2], token[2:])] if token[:2] in options else []
+    if len(hits) > 1:
+        raise InputFormatError(
+            f"ambiguous option: {token} could match {', '.join(o for o, _ in hits)}")
+    if hits:
+        return hits[0]
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
 
-    def add_input(p):
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--file", help="read JSON input from a file")
-        g.add_argument("--inline", help="JSON input given on the command line")
 
-    p = sub.add_parser("classify", help="classify a lattice form by its canonical operator")
-    add_input(p)
-    p.set_defaults(func=cmd_classify)
+def _marks(tokens: list[str], options: dict) -> list:
+    """The mark of each token; the first "--" is marked "--", and every token
+    after it is an argument."""
+    marks = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            return marks + ["--"] + [None] * (len(tokens) - k - 1)
+        marks.append(_mark(token, options))
+    return marks
 
-    p = sub.add_parser("mutate", help="apply a braid word to a collection")
-    add_input(p)
-    p.add_argument("--word", default="",
-                   help='mutations L<nu>/R<nu> (nu from 1) and sign flips F<i> (i from 0), '
-                        'applied left to right, like "F0 L1 R2"')
-    p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("k0", help="projective-space lattice computations")
-    k0sub = p.add_subparsers(dest="k0cmd", required=True)
-    g = k0sub.add_parser("gram")
-    g.add_argument("-n", type=_integer, required=True)
-    g.add_argument("--basis", choices=BASES, default="adams")
-    g.set_defaults(func=cmd_k0_gram)
-    g = k0sub.add_parser("rank")
-    add_input(g)
-    g.add_argument("-n", type=_integer, default=None)
-    g.set_defaults(func=cmd_k0_rank)
-    g = k0sub.add_parser("classify")
-    g.add_argument("-n", type=_integer, required=True)
-    g.add_argument("--basis", choices=BASES, default="twists")
-    g.set_defaults(func=cmd_k0_classify)
+def _has_value(marks: list, i: int) -> bool:
+    """Whether the option before tokens[i] finds its value there."""
+    return i < len(marks) and marks[i] is None
 
-    p = sub.add_parser("markov", help="rank-3 Markov triples")
-    p.add_argument("subcmd", choices=("check", "reduce"))
-    p.add_argument("a", type=_integer)
-    p.add_argument("b", type=_integer)
-    p.add_argument("c", type=_integer)
-    p.set_defaults(func=cmd_markov)
 
-    p = sub.add_parser("orbit", help="search the mutation orbit of a collection")
-    add_input(p)
-    p.add_argument("--height-bound", type=_integer, default=100)
-    p.add_argument("--max-nodes", type=_integer, default=100000)
-    p.set_defaults(func=cmd_orbit)
+def _take(tokens: list[str], marks: list, i: int):
+    """The positional value at tokens[i] and the index after it, a "--" on
+    either side of it dropped; None if tokens[i] holds no value."""
+    if i < len(marks) and marks[i] == "--":
+        i += 1
+    if not _has_value(marks, i):
+        return None
+    return tokens[i], i + 2 if i + 1 < len(marks) and marks[i + 1] == "--" else i + 1
 
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", choices=sorted(properties.SUITES) + ["all"], default="all")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.set_defaults(func=cmd_verify)
 
-    return parser
+def _store(args, arg: _Arg, text: str):
+    if isinstance(arg.read, tuple):
+        if text not in arg.read:
+            raise InputFormatError(f"argument {arg.name}: invalid choice: {text!r} "
+                                   f"(choose from {', '.join(map(repr, arg.read))})")
+        value = text
+    else:
+        try:
+            value = arg.read(text)
+        except InputFormatError as e:
+            raise InputFormatError(f"argument {arg.name}: {e}") from None
+    setattr(args, arg.dest, value)
+
+
+def _read_level(path: tuple, tokens: list[str], args, extras: list[str]):
+    """Read the tokens of one level, COMMANDS[path], into args, in order: its
+    options, and its positionals or, in a group, the word naming the subcommand
+    that reads the tokens after it.  Returns that subcommand's path and tokens,
+    or (path, None) at a command.  Unknown tokens go to extras, since a later
+    --help still prints its usage."""
+    command, options = COMMANDS[path], _OPTIONS[path]
+    for arg in command.options + command.positionals:
+        setattr(args, arg.dest, arg.default)
+    marks = _marks(tokens, options)
+    positionals, seen = list(command.positionals), set()
+    i = 0
+    while i < len(tokens):
+        mark = marks[i]
+        if isinstance(mark, tuple):
+            name, value = mark
+            arg = options.get(name)
+            if arg is None:
+                extras.append(tokens[i])
+                i += 1
+                continue
+            if arg is _HELP:
+                # -hXY reads X and Y as more short options, as argparse does, and
+                # the usage is printed only if they read
+                while value is not None:
+                    flag = "-" + value[:1]
+                    if name[1] == "-" or flag not in options:
+                        raise InputFormatError(
+                            f"argument -h/--help: ignored explicit argument {value!r}")
+                    name, value = flag, value[1:] or None
+                    if options[flag] is not _HELP:
+                        if value is None and not _has_value(marks, i + 1):
+                            raise InputFormatError(f"argument {flag}: expected one argument")
+                        break
+                print(_usage(path))
+                raise SystemExit(0)
+            if value is None:
+                if not _has_value(marks, i + 1):
+                    raise InputFormatError(f"argument {name}: expected one argument")
+                i += 1
+                value = tokens[i]
+            i += 1
+            _store(args, arg, value)
+            if _EXCLUSIVE.get(name) in seen:
+                raise InputFormatError(
+                    f"argument {name}: not allowed with argument {_EXCLUSIVE[name]}")
+            seen.add(name)
+        elif command.func is None:
+            sub = path + (tokens[i],)
+            if mark is not None or sub not in COMMANDS:
+                choices = ", ".join(repr(p[-1]) for p in COMMANDS if p[:-1] == path and p)
+                raise InputFormatError(
+                    f"argument command: invalid choice: {tokens[i]!r} (choose from {choices})")
+            return sub, tokens[i + 1:]
+        else:
+            taken = _take(tokens, marks, i) if positionals else None
+            if taken is None:
+                extras.append(tokens[i])
+                i += 1
+                continue
+            value, i = taken
+            _store(args, positionals.pop(0), value)
+    missing = ["command"] if command.func is None else \
+        [a.name for a in command.options if a.required and a.name not in seen] + \
+        [a.name for a in positionals]
+    if missing:
+        raise InputFormatError(f"the following arguments are required: {', '.join(missing)}")
+    return path, None
+
+
+def _read(argv) -> tuple[Callable, SimpleNamespace]:
+    """The command function a command line names, and the arguments it reads."""
+    args, extras, path, tokens = SimpleNamespace(), [], (), list(argv)
+    while tokens is not None:
+        path, tokens = _read_level(path, tokens, args, extras)
+    if extras:
+        raise InputFormatError(f"unrecognized arguments: {' '.join(extras)}")
+    return COMMANDS[path].func, args
+
+
+def _synopsis(arg: _Arg) -> str:
+    """An argument as usage shows it: "-n N", "--basis {adams,...}", "a"."""
+    value = "{%s}" % ",".join(arg.read) if isinstance(arg.read, tuple) else arg.dest.upper()
+    if arg.name[0] == "-":
+        return f"{arg.name} {value}"
+    return value if isinstance(arg.read, tuple) else arg.name
+
+
+def _usage(path: tuple) -> str:
+    """The --help text of one level, from its entry in COMMANDS."""
+    command = COMMANDS[path]
+    subcommands = [p for p in COMMANDS if p[:-1] == path and p]
+    words = ["usage: semiortho", *path, "[-h]"]
+    words += [_synopsis(a) if a.required else f"[{_synopsis(a)}]" for a in command.options]
+    words += [_synopsis(a) for a in command.positionals]
+    if subcommands:
+        words.append("{%s} ..." % ",".join(p[-1] for p in subcommands))
+    rows = [(p[-1], COMMANDS[p].help) for p in subcommands] + [("-h, --help", _HELP.help)]
+    rows += [(_synopsis(a), a.help if a.default in (None, "") else
+              f"{a.help} (default: {a.default})".lstrip())
+             for a in command.options + command.positionals]
+    return "\n".join([" ".join(words), "", command.help, ""] +
+                     [f"  {name:<24} {text}".rstrip() for name, text in rows])
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        func, args = _read(sys.argv[1:] if argv is None else argv)
+        code = func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except AssertionError as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): what is left unwritten
+        # goes to devnull, so the interpreter's last flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -234,10 +234,14 @@ def kappa_matrix(n: int) -> IntMatrix:
     one, col[k] = (-1)^(n+k) C(n+1, k), shifted down.  So the rows are windows
     of n+1 entries on one line, col reversed and then n zeros: row i is the
     window that puts col[0] at column i.  The n+1 binomials of col are the only
-    ones computed.
+    ones computed, each from the one before it:
+    C(n+1, k+1) = C(n+1, k) (n+1-k) / (k+1).
     """
     _check_order(n)
-    line = tuple((-1) ** (n + k) * comb(n + 1, k) for k in range(n, -1, -1)) + (0,) * n
+    col = [(-1) ** n]
+    for k in range(n):
+        col.append(-col[k] * (n + 1 - k) // (k + 1))
+    line = tuple(reversed(col)) + (0,) * n
     return IntMatrix(tuple(line[n - i:2 * n + 1 - i] for i in range(n + 1)))
 
 

@@ -1,19 +1,26 @@
 """JSON round trips and the command-line surface with its exit-code contract."""
 
+import argparse
+import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semiortho import cli, properties, serialize
 from semiortho.bilinear_form import BilinearLattice
 from semiortho.cli import K0_CLASSIFY_MAX_N, K0_MAX_N, main
 from semiortho.exact_linalg import IntMatrix, RatMatrix
+from semiortho.k0_pn import BASES
 from semiortho.markov import MarkovTriple, reduce_to_canonical
 from semiortho.mutations import SonCollection
 from semiortho.serialize import InputFormatError
@@ -227,9 +234,11 @@ def test_cli_rejects_bad_sizes_and_bounds(capsys):
                  ()):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv
-    with pytest.raises(SystemExit) as help_exit:
-        main(["k0", "--help"])
-    assert help_exit.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+    for argv in (["--help"], ["k0", "--help"], ["k0", "classify", "--help"], ["verify", "-h"]):
+        with pytest.raises(SystemExit) as help_exit:
+            main(argv)
+        out = capsys.readouterr().out
+        assert help_exit.value.code == 0 and out.startswith("usage: semiortho " + " ".join(argv[:-1]))
 
 
 def test_cli_integers_follow_the_json_grammar(capsys):
@@ -483,14 +492,14 @@ def test_cli_contract_exit_codes(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as e:  # argparse exits only for --help
+        except SystemExit as e:  # the reader exits only for --help
             code = e.code
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         json.loads(out.getvalue())
     elif code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
-    else:  # a property violation, never argparse's usage message
+    else:  # a property violation, never a usage message
         assert "usage:" not in err.getvalue(), argv
 
 
@@ -504,3 +513,250 @@ def test_cli_classify_verdict_is_over_the_algebraic_closure(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["verdict"] == {"type": "type1", "n": 0, "epsilon": 1}
+
+
+def _integer(text: str) -> int:
+    try:
+        return serialize.decode_int(text)
+    except InputFormatError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: exit 1 through main, not 2."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command table replaced, kept as the reference for
+    how a command line is read."""
+    parser = _Parser(
+        prog="semiortho",
+        description="Exact arithmetic for non-symmetric unimodular bilinear forms")
+    parser.add_argument("--output", choices=("json", "pretty"), default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_input(p):
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--file", help="read JSON input from a file")
+        g.add_argument("--inline", help="JSON input given on the command line")
+
+    p = sub.add_parser("classify", help="classify a lattice form by its canonical operator")
+    add_input(p)
+    p.set_defaults(func="cmd_classify")
+
+    p = sub.add_parser("mutate", help="apply a braid word to a collection")
+    add_input(p)
+    p.add_argument("--word", default="")
+    p.set_defaults(func="cmd_mutate")
+
+    p = sub.add_parser("k0", help="projective-space lattice computations")
+    k0sub = p.add_subparsers(dest="k0cmd", required=True)
+    g = k0sub.add_parser("gram")
+    g.add_argument("-n", type=_integer, required=True)
+    g.add_argument("--basis", choices=BASES, default="adams")
+    g.set_defaults(func="cmd_k0_gram")
+    g = k0sub.add_parser("rank")
+    add_input(g)
+    g.add_argument("-n", type=_integer, default=None)
+    g.set_defaults(func="cmd_k0_rank")
+    g = k0sub.add_parser("classify")
+    g.add_argument("-n", type=_integer, required=True)
+    g.add_argument("--basis", choices=BASES, default="twists")
+    g.set_defaults(func="cmd_k0_classify")
+
+    p = sub.add_parser("markov", help="rank-3 Markov triples")
+    p.add_argument("subcmd", choices=("check", "reduce"))
+    p.add_argument("a", type=_integer)
+    p.add_argument("b", type=_integer)
+    p.add_argument("c", type=_integer)
+    p.set_defaults(func="cmd_markov")
+
+    p = sub.add_parser("orbit", help="search the mutation orbit of a collection")
+    add_input(p)
+    p.add_argument("--height-bound", type=_integer, default=100)
+    p.add_argument("--max-nodes", type=_integer, default=100000)
+    p.set_defaults(func="cmd_orbit")
+
+    p = sub.add_parser("verify", help="run invariant suites")
+    p.add_argument("--suite", choices=sorted(properties.SUITES) + ["all"], default="all")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.set_defaults(func="cmd_verify")
+
+    return parser
+
+
+def _reference_read(argv):
+    args = vars(reference_parser().parse_args(argv))
+    return args.pop("func"), {k: v for k, v in args.items() if k not in ("command", "k0cmd")}
+
+
+def _table_read(argv):
+    func, args = cli._read(argv)
+    return func.__name__, vars(args)
+
+
+def _outcome(read, argv):
+    """What a reader makes of argv: the command and its arguments, an error, or
+    an exit with the usage on stdout."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            func, args = read(argv)
+    except InputFormatError:
+        return "error"
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue().startswith("usage:")
+    return func, args
+
+
+# values for the integers, free text and choices, and tokens that do not belong
+_INT_TEXTS = ("0", "7", "-3", "+3", "-0", "-06", "٣", "-١", "３", " 5", "5 ", "1_0",
+              "", "-", "-x", "--", "-1.5", "-.5", "1e3", "-5\n", "1 2")
+_FREE_TEXTS = ("[3]", '{"gram":[[1]]}', "", "-", "--x", "-x", "a b", "-1", "--", "-h", "--inline",
+               "pretty", "x=y", "--x y")
+_TEXTS = ("[3]", '{"gram":[[1]]}', "x=y", "L1 R2", "-1", "a b", "--x y", "٣")
+_STRAY = ("-x", "--unknown", "--", "-h", "--help", "--he", "--h", "--s", "--=x", "-hx", "-hh",
+          "-hn5", "-hn", "-h=h", "--help=x", "extra", "-5", "--output", "pretty", "-n", "-n5",
+          "-n=", "--file", "--inline", "--fi", "--in=x", "check", "k0", "gram", "-", "-1.5")
+# the command lines the reference parser reads: each command path with its
+# options (name: int, str or the tuple of choices), its required options and
+# the kinds of its positionals
+_INPUT = {"--file": str, "--inline": str}
+_SPEC = {
+    ("classify",): (_INPUT, (), ()),
+    ("mutate",): ({**_INPUT, "--word": str}, (), ()),
+    ("k0", "gram"): ({"-n": int, "--basis": BASES}, ("-n",), ()),
+    ("k0", "rank"): ({**_INPUT, "-n": int}, (), ()),
+    ("k0", "classify"): ({"-n": int, "--basis": BASES}, ("-n",), ()),
+    ("markov",): ({}, (), (("check", "reduce"), int, int, int)),
+    ("orbit",): ({**_INPUT, "--height-bound": int, "--max-nodes": int}, (), ()),
+    ("verify",): ({"--suite": tuple(sorted(properties.SUITES)) + ("all",), "--seed": int}, (), ()),
+}
+
+
+@st.composite
+def _value(draw, kind, messy):
+    """A value of a kind: one it takes, or, when messy, maybe one it rejects."""
+    if isinstance(kind, tuple):
+        return draw(st.sampled_from(kind + (("", "x", kind[0][:2], "-1") if messy else ())))
+    if kind is str:
+        return draw(st.sampled_from(_FREE_TEXTS if messy else _TEXTS))
+    number = st.integers(-10 ** 6, 10 ** 6).map(str)
+    return draw(st.one_of(number, st.sampled_from(_INT_TEXTS)) if messy else number)
+
+
+@st.composite
+def _option_tokens(draw, name, kind, messy):
+    """One option with its value, written in one of the forms argparse reads."""
+    value = draw(_value(kind, messy))
+    if name.startswith("--") and draw(st.booleans()):
+        name = name[:draw(st.integers(3, len(name)))]  # a prefix, maybe not unique
+    form = draw(st.sampled_from(("pair", "equals", "attached") + (("bare",) if messy else ())))
+    if form == "equals":
+        return [f"{name}={value}"]
+    if form == "attached" and not name.startswith("--"):
+        return [name + value]
+    return [name, value] if form != "bare" else [name]
+
+
+@st.composite
+def _any_argv(draw):
+    """A command line for any command, valid or not.  Its options come in any
+    form and order; a messy one may also have bad values, an option without
+    its value or twice, --file with --inline, a wrong number of positionals,
+    stray tokens and a bad top-level option."""
+    messy = draw(st.booleans())
+    path = draw(st.sampled_from(list(_SPEC)))
+    options, required, kinds = _SPEC[path]
+    chunks = [draw(_option_tokens(name, kind, messy)) for name, kind in options.items()
+              if name in required and not messy or draw(st.integers(0, 3))]
+    if messy and draw(st.integers(0, 2)) == 0:
+        name, kind = draw(st.sampled_from([*options.items(), ("--output", ("json", "pretty"))]))
+        chunks.append(draw(_option_tokens(name, kind, messy)))
+    chunks = draw(st.permutations(chunks))
+    positionals = [draw(_value(kind, messy)) for kind in kinds]
+    if messy:
+        count = draw(st.integers(max(0, len(positionals) - 1), len(positionals) + 1))
+        positionals = (positionals + ["3"])[:count]
+    # positionals in order, each after a random number of option chunks
+    tokens = [t for chunk in chunks for t in chunk]
+    for value in reversed(positionals):
+        tokens.insert(draw(st.integers(0, len(tokens))), value)
+    for _ in range(draw(st.integers(0, 2)) if messy else 0):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_STRAY)))
+    top = draw(st.sampled_from(([], ["--output", "pretty"], ["--out=json"]) + (
+        (["--o", "xml"], ["-h"], ["--output"], ["-x"]) if messy else ())))
+    # where argparse reads [] for a "--" (test_cli_reads_a_dash_dash_value_as_itself)
+    assume(tokens.count("--") < 2 and not any(t.endswith("=--") or t == "-n--" for t in tokens))
+    return top + list(path) + tokens
+
+
+def _check_agreement(argv):
+    """The command table is read as the argparse parser it replaced reads argv:
+    the same command and values, the same errors, the same --help exits."""
+    assert _outcome(_table_read, argv) == _outcome(_reference_read, argv), argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_argv())
+def test_reader_agrees_with_argparse(argv):
+    _check_agreement(argv)
+
+
+def test_reader_agrees_with_argparse_on_examples():
+    for argv in (["k0", "gram", "-n", "-1"], ["k0", "gram", "-n-1", "--b=twists"],
+                 ["--out", "pretty", "markov", "check", "-3", "3", "-6"],
+                 ["markov", "check", "--", "-3", "3", "3"], ["markov", "--", "check", "3", "3", "3"],
+                 ["k0", "gram", "-n", "--", "3"], ["k0", "--", "gram", "-n", "3"],
+                 ["classify", "--file", "f", "--inline", "x"], ["classify", "--fi=f", "--fi", "g"],
+                 ["orbit", "--h", "3"], ["orbit", "--help", "--h"], ["verify", "--se", "3"],
+                 ["k0", "classify", "-x", "--help"], ["k0", "classify", "-hn"],
+                 ["k0", "classify", "-hn5"], ["markov", "check", "3", "3", "-5\n", "--help"],
+                 ["verify", "--help=x"], ["verify", "-h="], ["-x", "k0", "gram", "-n", "3"],
+                 ["k0", "gram", "-n", "3", "--", "4"], ["mutate", "--word", "-x y"]):
+        _check_agreement(argv)
+
+
+def test_cli_reads_a_dash_dash_value_as_itself(capsys):
+    # argparse drops a "--" that is an option's value or a positional after the
+    # separator and stores [], which no command can read; the table reads "--"
+    for argv, dest, error in (
+            (["k0", "gram", "-n=--"], "n", "error: argument -n: bad integer literal '--'\n"),
+            (["markov", "check", "--", "3", "3", "--"], "c",
+             "error: argument c: bad integer literal '--'\n"),
+            (["classify", "--inline=--"], "inline", "error: invalid JSON: "),
+            (["k0", "rank", "-n=--", "-h"], "n", "error: argument -n: bad integer literal '--'\n")):
+        with redirect_stdout(io.StringIO()):
+            try:
+                assert getattr(reference_parser().parse_args(argv), dest) == []
+            except SystemExit:  # the [] is stored, and -h prints the usage
+                assert argv[-1] == "-h"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(error), argv
+
+
+def _run_cli(*argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(serialize.__file__).resolve().parents[1])}
+    return subprocess.Popen([sys.executable, *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_cli_import_leaves_argparse_out():
+    proc = _run_cli("-c", "import sys, semiortho.cli; sys.exit('argparse' in sys.modules)")
+    assert proc.wait(timeout=60) == 0, proc.stderr.read()
+    proc.stderr.close()
+
+
+def test_cli_closed_stdout_exits_1_without_traceback():
+    # the reader of stdout closes it before the command writes: 130 kB, more
+    # than a pipe holds, or a line small enough to wait for the final flush
+    for argv in (("k0", "classify", "-n", "768"), ("markov", "check", "3", "3", "6")):
+        proc = _run_cli("-m", "semiortho.cli", *argv, stdout=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, (argv, err)
+        assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -481,6 +481,13 @@ def test_kappa_matrix_is_kappa_of_the_binomial_gram():
         kappa_matrix(-1)
 
 
+def test_kappa_matrix_binomials_match_comb():
+    # the first column comes from the binomial recurrence; math.comb is its oracle
+    for n in range(301):
+        col = [row[0] for row in kappa_matrix(n).entries]
+        assert col == [(-1) ** (n + k) * comb(n + 1, k) for k in range(n + 1)], n
+
+
 def test_kappa_matrix_report_is_the_gram_report_in_every_basis():
     for n in range(13):
         report = _report(kappa_matrix(n))

@@ -59,8 +59,9 @@ AWAITING = {
     (_MUT, "right_projection"): "item 10: the R mutation through a submodule",
 }
 
-# what tests may take from the CLI: the entry point and the limits it enforces
-CLI_EXPORTS = {"main", "K0_MAX_N", "K0_CLASSIFY_MAX_N"}
+# what tests may take from the CLI: the entry point, the limits it enforces and
+# the command-line reader, which tests compare against the argparse parser it replaced
+CLI_EXPORTS = {"main", "K0_MAX_N", "K0_CLASSIFY_MAX_N", "_read"}
 
 
 def _trees():
@@ -178,8 +179,8 @@ class _Unit(NamedTuple):
 def _units(trees) -> list[_Unit]:
     """The units of the modules.  A member is checked when it is a public method or
     property of a class whose bases are all classes of the modules: a class that
-    subclasses one from outside (an exception, cli._Parser) has hooks that the
-    framework calls."""
+    subclasses one from outside (an exception, a NamedTuple such as cli._Arg) has
+    hooks or members that the framework defines."""
     classes = {s.name for _, tree in trees for s in tree.body if isinstance(s, ast.ClassDef)}
     units = []
     for path, tree in trees:
