@@ -188,7 +188,6 @@ class _Command(NamedTuple):
 _integer = serialize.decode_int
 _INPUT = (_Arg("--file", help="read JSON input from a file (stdin without --file or --inline)"),
           _Arg("--inline", help="JSON input given on the command line"))
-# options that exclude each other
 _EXCLUSIVE = {"--file": "--inline", "--inline": "--file"}
 
 COMMANDS = {

@@ -523,7 +523,8 @@ def _integer(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A malformed command line is malformed input: exit 1 through main, not 2."""
+    """Raises on a malformed command line, as the table reader does, where
+    argparse would exit 2."""
 
     def error(self, message):
         raise InputFormatError(message)
