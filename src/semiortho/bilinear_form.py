@@ -10,7 +10,6 @@ is the unitriangular Gram of a semiorthonormal basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
@@ -74,17 +73,11 @@ class OperatorOnLattice:
 
 
 def pair(lattice: BilinearLattice, v: Sequence, w: Sequence):
-    """<v,w> = v^t . gram . w
-
-    An int when the value is integral, else a Fraction (for rational v, w).
-    """
+    """<v,w> = v^t . gram . w, an int for integer v, w."""
     if len(v) != lattice.rank or len(w) != lattice.rank:
         raise ShapeError("vector length must equal lattice rank")
-    val = sum(a * sum(map(mul, row, w))
-              for a, row in zip(v, lattice.gram.entries) if a)
-    if isinstance(val, Fraction) and val.denominator == 1:
-        return val.numerator
-    return val
+    return sum(a * sum(map(mul, row, w))
+               for a, row in zip(v, lattice.gram.entries) if a)
 
 
 def restricted_gram(ambient: BilinearLattice, vectors: Sequence[Sequence]) -> IntMatrix:

@@ -1,12 +1,13 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed input, 2 property violation found.
-`main` alone maps exceptions to exit codes: a malformed command line, or a
-`ValueError` or `IndexError` from the library or the input checks here, is
-malformed input, exit 1 with an `error:` line on stderr; an `AssertionError`
-is a property violation, exit 2; a stdout closed by its reader exits 1 with
-nothing on stderr.  The commands only parse, call the library (`verify`
-calls the laws of `properties`) and encode.
+The commands only parse, call the library (`verify` calls the laws of
+`properties`) and return their report; `main` alone writes it and picks the
+exit code.  A malformed command line, or a `ValueError` or `IndexError` from
+the library or the input checks here, is malformed input, exit 1 with an
+`error:` line on stderr; an `AssertionError` is a property violation, exit 2;
+so is a report whose "passed" is false, exit 2 with the report on stdout; a
+stdout closed by its reader exits 1 with nothing on stderr.
 All output is exact JSON (deterministic byte-for-byte); --output pretty
 switches to indented rendering.
 
@@ -37,38 +38,30 @@ from .mutations import BraidWord, apply_braid, orbit_search
 from .serialize import InputFormatError
 
 
-def _read_input(args) -> str:
+def _read_input(args):
+    """The decoded JSON input of a command: --inline, --file or stdin."""
     if args.inline is not None:
-        return args.inline
+        return serialize.loads(args.inline)
     if args.file is not None:
         try:
             with open(args.file) as fh:
-                return fh.read()
+                return serialize.loads(fh.read())
         except OSError as e:
             raise InputFormatError(f"cannot read {args.file}: {e}") from None
-    return sys.stdin.read()
+    return serialize.loads(sys.stdin.read())
 
 
-def _emit(args, obj):
-    if args.output == "pretty":
-        print(serialize.dumps_pretty(obj))
-    else:
-        print(serialize.dumps(obj))
-
-
-def cmd_classify(args) -> int:
-    lattice = serialize.decode_lattice(serialize.loads(_read_input(args)))
+def cmd_classify(args) -> dict:
+    lattice = serialize.decode_lattice(_read_input(args))
     report = detect_type(lattice)
-    _emit(args, serialize.encode_report(report))
-    return 0
+    return serialize.encode_report(report)
 
 
-def cmd_mutate(args) -> int:
-    c = serialize.decode_collection(serialize.loads(_read_input(args)))
+def cmd_mutate(args) -> dict:
+    c = serialize.decode_collection(_read_input(args))
     c = apply_braid(c, BraidWord.parse(args.word))
-    _emit(args, {"collection": serialize.encode_collection(c),
-                 "gram": serialize.encode_matrix(c.gram())})
-    return 0
+    return {"collection": serialize.encode_collection(c),
+            "gram": serialize.encode_matrix(c.gram())}
 
 
 # Largest -n of `k0 gram`, from the table of scripts/k0_rate.py in
@@ -96,14 +89,13 @@ def _check_k0_limit(n: int, limit: int):
         raise InputFormatError(f"-n {n} is above the limit of {limit}")
 
 
-def cmd_k0_gram(args) -> int:
+def cmd_k0_gram(args) -> list:
     _check_k0_limit(args.n, K0_MAX_N)
-    _emit(args, serialize.encode_matrix(gram_matrix(args.n, args.basis)))
-    return 0
+    return serialize.encode_matrix(gram_matrix(args.n, args.basis))
 
 
-def cmd_k0_rank(args) -> int:
-    data = serialize.loads(_read_input(args))
+def cmd_k0_rank(args) -> dict:
+    data = _read_input(args)
     if not isinstance(data, list) or not data:
         raise InputFormatError("expected a non-empty array of series coefficients")
     coeffs = [serialize.decode_number(x) for x in data]
@@ -111,11 +103,10 @@ def cmd_k0_rank(args) -> int:
     check_truncation(n, len(coeffs))
     # the rank is the constant term: no need to pad the series up to order n
     series = DSeries.from_coeffs(len(coeffs) - 1, coeffs)
-    _emit(args, {"rank": serialize.encode_number(rank(series))})
-    return 0
+    return {"rank": serialize.encode_number(rank(series))}
 
 
-def cmd_k0_classify(args) -> int:
+def cmd_k0_classify(args) -> dict:
     # the report is a similarity invariant of kappa, the same in every basis,
     # so it is read off the integer kappa of the binomial basis; a basis only
     # has to exist at this n
@@ -123,41 +114,35 @@ def cmd_k0_classify(args) -> int:
     kappa = kappa_matrix(args.n)
     if args.basis == "xi":
         xi_basis(args.n)
-    _emit(args, serialize.encode_report(_report(kappa)))
-    return 0
+    return serialize.encode_report(_report(kappa))
 
 
-def cmd_markov(args) -> int:
+def cmd_markov(args) -> dict:
     t = MarkovTriple(args.a, args.b, args.c)
     if args.subcmd == "check":
-        _emit(args, {"triple": serialize.encode_triple(t),
-                     "trace": serialize.encode_int(trace_kappa_rank3(t)),
-                     "is_markov": is_markov(t)})
-        return 0
+        return {"triple": serialize.encode_triple(t),
+                "trace": serialize.encode_int(trace_kappa_rank3(t)),
+                "is_markov": is_markov(t)}
     trace = reduce_to_canonical(t)
     # the triple-level replay_trace would only redo the apply_word calls that
     # built the trace; realize_trace checks it on vectors
     if not realize_trace(trace):
         raise AssertionError("reduction trace failed to replay")
-    _emit(args, serialize.encode_trace(trace))
-    return 0
+    return serialize.encode_trace(trace)
 
 
-def cmd_orbit(args) -> int:
-    c = serialize.decode_collection(serialize.loads(_read_input(args)))
+def cmd_orbit(args) -> dict:
+    c = serialize.decode_collection(_read_input(args))
     report = orbit_search(c, args.height_bound, args.max_nodes)
-    _emit(args, serialize.encode_orbit_report(report))
-    return 0
+    return serialize.encode_orbit_report(report)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     names = sorted(properties.SUITES) if args.suite == "all" else [args.suite]
     failures = properties.run_suites(names, args.seed)
-    passed = not any(failures.values())
-    _emit(args, {"suites": {name: {"failures": f, "passed": f == 0}
-                            for name, f in failures.items()},
-                 "passed": passed})
-    return 0 if passed else 2
+    return {"suites": {name: {"failures": f, "passed": f == 0}
+                       for name, f in failures.items()},
+            "passed": not any(failures.values())}
 
 
 class _Arg(NamedTuple):
@@ -395,9 +380,10 @@ def _usage(path: tuple) -> str:
 def main(argv=None) -> int:
     try:
         func, args = _read(sys.argv[1:] if argv is None else argv)
-        code = func(args)
+        report = func(args)
+        print(serialize.dumps_pretty(report) if args.output == "pretty" else
+              serialize.dumps(report))
         sys.stdout.flush()
-        return code
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -409,6 +395,8 @@ def main(argv=None) -> int:
         # goes to devnull, so the interpreter's last flush raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    # a report that records its own check, like verify's, fails with it
+    return 2 if isinstance(report, dict) and report.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -206,5 +206,7 @@ def dumps_pretty(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as e:  # also an integer literal over the digit limit
+    # ValueError is also an integer literal over the digit limit, and
+    # RecursionError arrays or objects nested deeper than the stack
+    except (ValueError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from None

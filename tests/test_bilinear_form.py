@@ -77,7 +77,8 @@ def test_pair_matches_fraction_reference():
                    for i in range(n) for j in range(n)), Fraction(0))
         got = pair(lat, v, w)
         assert got == ref
-        assert type(got) is (int if ref.denominator == 1 else Fraction)
+        if all(type(x) is int for x in v + w):
+            assert type(got) is int
     with pytest.raises(ShapeError):
         pair(BilinearLattice.standard(2), [1, 0], [1])
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiortho import cli, properties, serialize
@@ -83,6 +83,12 @@ def test_lattice_and_collection_round_trip():
         serialize.decode_lattice({"rank": 5, "gram": [[1]]})
     with pytest.raises(InputFormatError):
         serialize.decode_lattice({"gram": [[2]]})
+
+
+def test_loads_rejects_json_nested_past_the_stack():
+    for text in ("[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000):
+        with pytest.raises(InputFormatError, match="^invalid JSON: "):
+            serialize.loads(text)
 
 
 def test_trace_round_trip_structure():
@@ -200,6 +206,16 @@ def test_cli_verify(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "canonical")
     assert (code, json.loads(out)) == (2, {"passed": False, "suites": {
         "canonical": {"failures": 25, "passed": False}}})
+
+
+def test_cli_failed_report_exits_2(capsys, monkeypatch):
+    # main, not the command, gives exit 2 to any report whose "passed" is false
+    monkeypatch.setattr(serialize, "encode_orbit_report",
+                        lambda report: {"orbit_size": report.orbit_size, "passed": False})
+    code, out, err = run(capsys, "orbit", "--inline", COLL, "--max-nodes", "4")
+    assert (code, out, err) == (2, '{"orbit_size":4,"passed":false}\n', "")
+    code, out, _ = run(capsys, "--output", "pretty", "orbit", "--inline", COLL, "--max-nodes", "4")
+    assert (code, json.loads(out)) == (2, {"orbit_size": 4, "passed": False})
 
 
 def test_cli_deterministic_output(capsys):
@@ -409,7 +425,7 @@ _JUNK_JSON = ("", "{bad", "null", "3", "[]", "{}", '{"gram":3}', '{"gram":[1,2]}
               '{"gram":[["1/2"]]}', '{"ambient":[],"vectors":[]}',
               '{"ambient":{"gram":[[1]]},"vectors":3}',
               '{"ambient":{"gram":[[1]]},"vectors":[[1,0]]}',
-              '{"gram":[[%s]]}' % ("7" * 5000))
+              '{"gram":[[%s]]}' % ("7" * 5000), "[" * 100000 + "]" * 100000)
 
 
 @st.composite
@@ -487,6 +503,7 @@ def _argv(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_argv())
+@example(["classify", "--inline", _JUNK_JSON[-1]])  # nested past the stack
 def test_cli_contract_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -35,6 +35,8 @@ AWAITING = {
     (_CLS, "type1_isometry_from_odd"): "item 6: the isometry series of a type-1 form",
     (_CLS, "is_type1_isometry"): "item 6: the isometry law f(-z) f(z) = 1",
     (_CLS, "isometry_orbit_invariant"): "item 6: the invariant `k0 invariants` prints",
+    ("src/semiortho/bilinear_form.py", "is_reflexive"):
+        "item 6: `isometry_orbit_invariant` takes only operators of the canonical algebra",
     (_CLS, "odd_coefficient_count"): "item 6: the free parameters of `type1_isometry_from_odd`",
     (_K0, "integrality_test"): "item 6: the lattice Z[nabla]/nabla^(n+1) of `k0 isometries`",
     (_K0, "eta_pn"): "item 6: the nilpotent part of kappa on K0(P^n)",
@@ -108,12 +110,16 @@ def _attributes(node: ast.AST) -> set[str]:
     return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def _reads(node: ast.AST) -> set[str]:
-    """The names a node reads: loaded names, attributes and the names it imports."""
+def _reads(node: ast.AST, imports: bool = True) -> set[str]:
+    """The names a node reads: loaded names, attributes and, with `imports`, the
+    names it imports.  A unit of src/ reads what it imports only where it uses it,
+    which may be inside an AWAITING name; scripts/ and bench/tracer.py are read
+    whole, and their imports count."""
     nodes = list(ast.walk(node))
     return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             | _attributes(node)
-            | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+            | {a.name for n in nodes if imports and isinstance(n, ast.ImportFrom)
+               for a in n.names})
 
 
 def _layer_reads(tree: ast.Module) -> set[str]:
@@ -187,13 +193,15 @@ def _units(trees) -> list[_Unit]:
         for stmt in tree.body:
             names = {(path, name) for name in _defined_names(stmt)}
             if not isinstance(stmt, ast.ClassDef):
-                units.append(_Unit(stmt, stmt, names, None, _reads(stmt), _attributes(stmt)))
+                units.append(_Unit(stmt, stmt, names, None, _reads(stmt, imports=False),
+                                   _attributes(stmt)))
                 continue
             checked = all(isinstance(b, ast.Name) and b.id in classes for b in stmt.bases)
             for node in stmt.body + stmt.bases + stmt.keywords + stmt.decorator_list:
                 member = (path, f"{stmt.name}.{node.name}") if checked and isinstance(
                     node, ast.FunctionDef) and not node.name.startswith("_") else None
-                units.append(_Unit(stmt, node, names, member, _reads(node), _attributes(node)))
+                units.append(_Unit(stmt, node, names, member, _reads(node, imports=False),
+                                   _attributes(node)))
     return units
 
 
@@ -202,8 +210,8 @@ def _unread(trees, readers: set[str] = frozenset(), attr_readers: set[str] = fro
     """The module-level names (dunders aside) and the checked members of the modules
     that no live unit reads.
 
-    A name counts as read when a unit of another top-level statement reads it, by name,
-    as an attribute or by import, or when it is in `readers`, the names read from
+    A name counts as read when a unit of another top-level statement reads it, by name
+    or as an attribute, but not by import alone, or when it is in `readers`, the names read from
     outside the modules.  A member counts as read when another unit reads its name as
     an attribute, or when it is in `attr_readers`.  A unit is dead when its member, or
     every name its statement defines, is dead: a key of `awaiting`, which only tests
@@ -314,6 +322,21 @@ def test_reader_check_drops_what_only_awaiting_names_read():
     assert _awaiting_errors(unread, awaiting) == [
         f"a.py: {name} has no reader outside the tests"
         for name in ("Series.nabla", "_substitute", "helper", "inner")]
+
+
+def test_reader_check_counts_no_import_as_a_read():
+    # b imports reflexive and uses it only inside waiting, which is AWAITING; a
+    # script that imports a name reads it
+    a = ast.parse("def reflexive():\n    return 1\n")
+    b = ast.parse("from a import reflexive\n"
+                  "def waiting():\n    return reflexive()\n"
+                  "def main():\n    return 2\n")
+    trees = [("a.py", a), ("b.py", b)]
+    unread = {("a.py", "reflexive"), ("b.py", "waiting")}
+    assert _unread(trees, {"main"}, awaiting={("b.py", "waiting")}) == unread
+    script = ast.parse("from a import reflexive as r\n")
+    assert _unread(trees, {"main"} | _reads(script), awaiting={("b.py", "waiting")}) == \
+        {("b.py", "waiting")}
 
 
 def _cli_reads(tree: ast.Module) -> set[str]:
