@@ -73,16 +73,22 @@ class OperatorOnLattice:
 
 
 def pair(lattice: BilinearLattice, v: Sequence, w: Sequence):
-    """<v,w> = v^t . gram . w, an int for integer v, w."""
-    if len(v) != lattice.rank or len(w) != lattice.rank:
+    """<v,w> = v^t . gram . w, an int for integer v, w: one dot product per nonzero v_i."""
+    n = lattice.gram.rows
+    if len(v) != n or len(w) != n:
         raise ShapeError("vector length must equal lattice rank")
-    return sum(a * sum(map(mul, row, w))
-               for a, row in zip(v, lattice.gram.entries) if a)
+    return sum([a * sum(map(mul, row, w)) for a, row in zip(v, lattice.gram.entries) if a])
 
 
 def restricted_gram(ambient: BilinearLattice, vectors: Sequence[Sequence]) -> IntMatrix:
-    """Gram matrix [<v, w>] of integer vectors under the lattice form."""
-    return IntMatrix.from_rows([[pair(ambient, v, w) for w in vectors] for v in vectors])
+    """Gram matrix [<v, w>] of integer vectors under the lattice form, as V (X V^t): X w
+    once per vector, then one dot product per entry.  Each vector's length is checked
+    once; a non-integral entry of the result raises ValueError."""
+    n = ambient.gram.rows
+    if any(len(v) != n for v in vectors):
+        raise ShapeError("vector length must equal lattice rank")
+    xw = [[sum(map(mul, row, w)) for row in ambient.gram.entries] for w in vectors]
+    return IntMatrix.from_rows([[sum(map(mul, v, c)) for c in xw] for v in vectors])
 
 
 def canonical_operator(lattice: BilinearLattice) -> OperatorOnLattice:
@@ -120,8 +126,8 @@ def semiorthogonal_sum(l1: BilinearLattice, l2: BilinearLattice,
     """Block Gram [[g1, coupling], [0, g2]]; coupling[i][j] = <u_i, v_j>."""
     if (coupling.rows, coupling.cols) != (l1.rank, l2.rank):
         raise ShapeError("coupling must be rank(l1) x rank(l2)")
-    top = tuple(g + c for g, c in zip(l1.gram.entries, coupling.entries))
-    bottom = tuple((0,) * l1.rank + g for g in l2.gram.entries)
+    top = tuple([g + c for g, c in zip(l1.gram.entries, coupling.entries)])
+    bottom = tuple([(0,) * l1.rank + g for g in l2.gram.entries])
     return BilinearLattice(IntMatrix(top + bottom))
 
 

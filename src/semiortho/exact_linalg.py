@@ -38,20 +38,22 @@ _set = object.__setattr__
 
 @dataclass(frozen=True, init=False)
 class _Matrix:
-    """Dense row-major matrix; subclasses fix the entry type by `_cast`.  `cols` is
-    read off the first row, so only a matrix with no rows needs it given."""
+    """Dense row-major matrix; subclasses fix the entry type by `_cast`.  Both sizes are
+    stored, `cols` read off the first row, so only a matrix with no rows needs it given."""
 
     entries: tuple[tuple, ...]
+    rows: int
     cols: int
 
     def __init__(self, entries: tuple[tuple, ...], cols: int = 0):
         _set(self, "entries", entries)
+        _set(self, "rows", len(entries))
         _set(self, "cols", len(entries[0]) if entries else cols)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None):
         """The matrix with these rows, each of length `cols` (by default the first's)."""
-        entries = tuple(tuple(map(cls._cast, row)) for row in rows)
+        entries = tuple([tuple(map(cls._cast, row)) for row in rows])
         if cols is None:
             cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
@@ -61,11 +63,7 @@ class _Matrix:
     @classmethod
     def identity(cls, n: int):
         one, zero = cls._cast(1), cls._cast(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
+        return cls(tuple([tuple([one if i == j else zero for j in range(n)]) for i in range(n)]))
 
     @property
     def is_square(self) -> bool:
@@ -85,21 +83,21 @@ class _Matrix:
         return _entrywise(sub, self, other)
 
     def __neg__(self):
-        return type(self)(tuple(tuple(-a for a in r) for r in self.entries), self.cols)
+        return type(self)(tuple([tuple([-a for a in r]) for r in self.entries]), self.cols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(r, v)), self._cast(0)) for r in self.entries)
+        return tuple([sum(map(mul, r, v), self._cast(0)) for r in self.entries])
 
     def trace(self):
         if not self.is_square:
             raise ShapeError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), self._cast(0))
+        return sum([r[i] for i, r in enumerate(self.entries)], self._cast(0))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(map(any, self.entries))
 
 
 def _columns(m: _Matrix) -> tuple[tuple, ...]:
@@ -117,7 +115,7 @@ def _entrywise(op, a, b):
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     kind = IntMatrix if type(a) is type(b) is IntMatrix else RatMatrix
-    return kind(tuple(tuple(map(op, r, s)) for r, s in zip(a.entries, b.entries)), a.cols)
+    return kind(tuple([tuple(map(op, r, s)) for r, s in zip(a.entries, b.entries)]), a.cols)
 
 
 class IntMatrix(_Matrix):
@@ -131,8 +129,8 @@ class IntMatrix(_Matrix):
             return RatMatrix.__mul__(self, other)
         _check_product(self, other)
         cols = _columns(other)
-        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries),
-                         other.cols)
+        return IntMatrix(tuple([tuple([sum(map(mul, r, c)) for c in cols])
+                                for r in self.entries]), other.cols)
 
 
 class RatMatrix(_Matrix):
@@ -272,7 +270,7 @@ def solve_unimodular(m: IntMatrix, rhs: IntMatrix) -> IntMatrix:
             for k in range(i + 1, n):
                 if c := row[k]:
                     acc = [s - c * t for s, t in zip(acc, x[k])]
-            x[i] = tuple(acc) if row[i] == 1 else tuple(-s for s in acc)
+            x[i] = tuple(acc) if row[i] == 1 else tuple([-s for s in acc])
         return IntMatrix(tuple(x), rhs.cols)
     rows = [list(r + b) for r, b in zip(a, rhs.entries)]
     pivots, d, sign = _rref(rows, n)
@@ -280,7 +278,7 @@ def solve_unimodular(m: IntMatrix, rhs: IntMatrix) -> IntMatrix:
         found = sign * d if len(pivots) == n else 0
         raise UnimodularityError(f"determinant is {int_text(found)}, expected +-1")
     # the reduced rows are [d I | d x] with d = +-1 = 1/d
-    return IntMatrix(tuple(tuple(d * v for v in row[n:]) for row in rows), rhs.cols)
+    return IntMatrix(tuple([tuple([d * v for v in row[n:]]) for row in rows]), rhs.cols)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

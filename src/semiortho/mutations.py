@@ -31,7 +31,7 @@ Letter = Literal["L", "R", "F"]
 
 def _ambient_vector(ambient: BilinearLattice, v) -> tuple[int, ...]:
     # a non-integral entry raises ValueError, a vector of the wrong length ShapeError
-    v = tuple(exact_int(x) for x in v)
+    v = tuple(map(exact_int, v))
     if len(v) != ambient.rank:
         raise ShapeError("vector length must equal ambient rank")
     return v
@@ -80,7 +80,7 @@ class SonCollection:
     def flip_sign(self, i: int) -> "SonCollection":
         _check_letter(i, "F", len(self))
         vs = list(self.vectors)
-        vs[i] = tuple(-x for x in vs[i])
+        vs[i] = tuple([-x for x in vs[i]])
         return self._derived(tuple(vs))
 
 
@@ -102,9 +102,9 @@ def is_semiorthonormal(c: SonCollection) -> bool:
 
 
 def is_unitriangular(gram: IntMatrix) -> bool:
-    """Units on the diagonal and zeros below it: the Gram of a semiorthonormal collection."""
-    return all(x == int(i == j) for i, row in enumerate(gram.entries)
-               for j, x in enumerate(row[:i + 1]))
+    """Units on the diagonal and zeros below it: the Gram of a semiorthonormal collection;
+    each row's part below the diagonal is one slice for the builtin `any`."""
+    return all(row[i] == 1 and not any(row[:i]) for i, row in enumerate(gram.entries))
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,9 @@ def mutate_pair(c: SonCollection, nu: int, direction: Direction) -> SonCollectio
     b = c.vectors[nu]
     ab = pair(c.ambient, a, b)
     if direction == "L":
-        new = (tuple(x - ab * y for x, y in zip(b, a)), a)
+        new = (tuple([x - ab * y for x, y in zip(b, a)]), a)
     else:
-        new = (b, tuple(x - ab * y for x, y in zip(a, b)))
+        new = (b, tuple([x - ab * y for x, y in zip(a, b)]))
     vs = list(c.vectors)
     vs[nu - 1], vs[nu] = new
     return c._derived(tuple(vs))

@@ -14,6 +14,7 @@ from semiortho.bilinear_form import (
     is_reflexive,
     left_dual,
     pair,
+    restricted_gram,
     right_dual,
     semiorthogonal_sum,
     sum_projections,
@@ -27,7 +28,7 @@ from semiortho.exact_linalg import (
     char_poly_rat,
 )
 
-from conftest import random_unimodular_gram, zero_matrix
+from conftest import random_son_lattice, random_unimodular_gram, zero_matrix
 
 
 def test_lattice_validation():
@@ -81,6 +82,30 @@ def test_pair_matches_fraction_reference():
             assert type(got) is int
     with pytest.raises(ShapeError):
         pair(BilinearLattice.standard(2), [1, 0], [1])
+
+
+def test_restricted_gram_matches_pairwise_reference():
+    # the n^2 pair calls restricted_gram made before it became one product V (X V^t)
+    rng = random.Random(31)
+    for _ in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        big = rng.random() < 0.5
+        bound = 10**300 if big else 6
+        lat = random_son_lattice(rng, n, bound) if big else \
+            BilinearLattice(random_unimodular_gram(rng, n))
+        vectors = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+        got = restricted_gram(lat, vectors)
+        assert (got.rows, got.cols) == (m, m)
+        assert got == IntMatrix.from_rows([[pair(lat, v, w) for w in vectors]
+                                           for v in vectors], m)
+    lat = BilinearLattice.from_rows([[1, 2], [0, 1]])
+    with pytest.raises(ShapeError):
+        restricted_gram(lat, [(1, 0), (1, 0, 0)])
+    # <v, v> = (1 + 2 + 1) / 4: an integral Fraction result is kept as an int
+    assert restricted_gram(lat, [(Fraction(1, 2), Fraction(1, 2))]) \
+        == IntMatrix.from_rows([[1]])
+    with pytest.raises(ValueError, match="integer"):
+        restricted_gram(lat, [(Fraction(1, 2), 0)])
 
 
 def test_canonical_operator_defining_identity():

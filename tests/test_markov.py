@@ -256,6 +256,20 @@ def test_replay_rejects_tampered_trace():
     assert not realize_trace(bad)
 
 
+def test_realize_trace_replays_a_big_fibonacci_triple():
+    # (3, b, c) on the Fibonacci branch, c of at least 300 digits: every Gram of
+    # the replay has big entries until the last moves
+    b, c = 3, 3
+    while len(str(c)) < 300:
+        b, c = c, 3 * c - b
+    tr = reduce_to_canonical(MarkovTriple(3, b, c))
+    assert len(tr.moves) > 500 and realize_trace(tr)
+    last = tr.moves[-1]
+    assert last.triple_after == tr.end == MarkovTriple(3, 3, 3)
+    moves = tr.moves[:-1] + (replace(last, triple_after=MarkovTriple(3, 3, -3)),)
+    assert not realize_trace(ReductionTrace(tr.start, moves, tr.end))
+
+
 def test_realize_trace_rejects_a_collection_that_stops_being_semiorthonormal(monkeypatch):
     tr = reduce_to_canonical(MarkovTriple(3, 6, 15))
     calls = []
