@@ -109,12 +109,6 @@ def right_dual(phi: OperatorOnLattice) -> OperatorOnLattice:
     return OperatorOnLattice(lat.inverse * phi.matrix.transpose() * lat.gram, lat)
 
 
-def is_reflexive(phi: OperatorOnLattice) -> bool:
-    """True iff phi commutes with the canonical operator."""
-    k = phi.ambient.kappa
-    return (phi.matrix * k - k * phi.matrix).is_zero()
-
-
 def is_isometry(phi: OperatorOnLattice) -> bool:
     """phi^t X phi = X, equivalently right_dual(phi) phi = id."""
     x = phi.ambient.gram

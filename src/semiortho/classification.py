@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .bilinear_form import BilinearLattice, OperatorOnLattice, is_reflexive, right_dual
+from .bilinear_form import BilinearLattice
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
@@ -40,7 +40,6 @@ from .exact_linalg import (
     _is_triangular,
     char_poly_rat,
     clear_denominators,
-    det,
     kernel_basis,
     rank_over_q,
 )
@@ -416,12 +415,3 @@ def type1_isometry_from_odd(odd: Sequence, sign: int, n: int) -> DSeries:
 def is_type1_isometry(f: DSeries) -> bool:
     """f(-z) f(z) = 1: f is an isometry of the type-1 form in Q[z]/z^(n+1)."""
     return f.negate_variable() * f == DSeries.one(f.n)
-
-
-def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:
-    """A* A; equal invariants characterize one orbit of the isometry group."""
-    if not is_reflexive(a):
-        raise ValueError("operator is not in the canonical algebra")
-    if det(a.matrix) == 0:
-        raise ValueError("operator must be invertible over Q")
-    return OperatorOnLattice(right_dual(a).matrix * a.matrix, a.ambient)

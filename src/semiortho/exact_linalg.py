@@ -204,18 +204,18 @@ def int_text(x: int) -> str:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant: prod a_ii of a triangular m, else sign * d from the row echelon
-    form of `_rref`, or 0 when it finds fewer than n pivots."""
+    """Exact determinant: prod a_ii of a triangular m, else sign * d from `_rref`, or 0
+    when it finds fewer than n pivots."""
     if not m.is_square:
         raise ShapeError("determinant of non-square matrix")
     n = m.rows
     if _is_triangular(m):
         return math.prod(m.entries[i][i] for i in range(n))
-    pivots, d, sign = _rref([list(r) for r in m.entries], n, full=False)
+    pivots, d, sign = _rref([list(r) for r in m.entries], n)
     return sign * d if len(pivots) == n else 0
 
 
-def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[int], int, int]:
+def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan reduction over Z, in place, pivots in the first `ncols` columns.
 
     Bareiss's exact division (Math. Comp. 22, 1968), applied to the rows
@@ -225,9 +225,7 @@ def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[in
     are the reduced row echelon form over Q.  Columns past `ncols` (an
     augmented block) are carried along.  Returns the pivot columns, d and the
     sign of the row permutation: a square matrix of full rank has
-    determinant sign * d.  With full=False only the rows below each pivot
-    are reduced (a row echelon form), which is all a rank or a determinant
-    needs.
+    determinant sign * d.
     """
     pivots: list[int] = []
     d, sign = 1, 1
@@ -243,7 +241,7 @@ def _rref(rows: list[list[int]], ncols: int, full: bool = True) -> tuple[list[in
             sign = -sign
         prow = rows[top]
         p = prow[col]
-        for r in range(0 if full else top + 1, len(rows)):
+        for r in range(len(rows)):
             row = rows[r]
             f = row[col]
             if r == top or (not f and p == d):
@@ -346,7 +344,7 @@ def char_poly_rat(m: _Matrix) -> tuple[Fraction, ...]:
 
 def rank_over_q(m: _Matrix) -> int:
     """Rank over Q of an integer or rational matrix, by fraction-free elimination."""
-    return len(_rref([_cleared(r)[1] for r in m.entries], m.cols, full=False)[0])
+    return len(_rref([_cleared(r)[1] for r in m.entries], m.cols)[0])
 
 
 def kernel_basis(m: _Matrix) -> list[tuple[Fraction, ...]]:

@@ -7,7 +7,7 @@ structured random objects (unimodular matrices, semiorthonormal data).
 import random
 from fractions import Fraction
 
-from semiortho.bilinear_form import BilinearLattice
+from semiortho.bilinear_form import BilinearLattice, OperatorOnLattice
 from semiortho.exact_linalg import IntMatrix, RatMatrix, ShapeError, char_poly_rat
 from semiortho.properties import random_son_gram
 
@@ -37,6 +37,12 @@ def random_unimodular_gram(rng: random.Random, n: int) -> IntMatrix:
 
 def random_son_lattice(rng: random.Random, n: int, bound: int = 4) -> BilinearLattice:
     return BilinearLattice(random_son_gram(rng, n, bound))
+
+
+def is_reflexive(phi: OperatorOnLattice) -> bool:
+    """True iff phi commutes with the canonical operator."""
+    k = phi.ambient.kappa
+    return (phi.matrix * k - k * phi.matrix).is_zero()
 
 
 def fraction_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

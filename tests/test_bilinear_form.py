@@ -11,7 +11,6 @@ from semiortho.bilinear_form import (
     canonical_operator,
     extension_trace_check,
     is_isometry,
-    is_reflexive,
     left_dual,
     pair,
     restricted_gram,
@@ -28,7 +27,7 @@ from semiortho.exact_linalg import (
     char_poly_rat,
 )
 
-from conftest import random_son_lattice, random_unimodular_gram, zero_matrix
+from conftest import is_reflexive, random_son_lattice, random_unimodular_gram, zero_matrix
 
 
 def test_lattice_validation():

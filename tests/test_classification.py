@@ -19,7 +19,6 @@ from semiortho.classification import (
     detect_type,
     detect_type_gram,
     is_type1_isometry,
-    isometry_orbit_invariant,
     kappa_from_zeta,
     kappa_of_gram,
     odd_coefficient_count,
@@ -35,12 +34,14 @@ from semiortho.bilinear_form import (
     BilinearLattice,
     OperatorOnLattice,
     canonical_operator,
+    right_dual,
 )
 from semiortho.exact_linalg import (
     IntMatrix,
     RatMatrix,
     char_poly_rat,
     clear_denominators,
+    det,
     kernel_basis,
     rank_over_q,
 )
@@ -50,6 +51,7 @@ from conftest import (
     fraction_product,
     fraction_rank,
     fraction_rref,
+    is_reflexive,
     matrix_in,
     nilpotency_index,
     power,
@@ -229,6 +231,16 @@ def test_isometry_solver_input_validation():
         type1_isometry_from_odd([1], 2, 3)
     with pytest.raises(ValueError):
         type1_isometry_from_odd([1, 2, 3], 1, 3)
+
+
+def isometry_orbit_invariant(a: OperatorOnLattice) -> OperatorOnLattice:
+    """A* A; equal invariants characterize one orbit of the isometry group.  The
+    oracle for the A(-D) A(D) that `k0 invariants` is to print in nabla-coordinates."""
+    if not is_reflexive(a):
+        raise ValueError("operator is not in the canonical algebra")
+    if det(a.matrix) == 0:
+        raise ValueError("operator must be invertible over Q")
+    return OperatorOnLattice(right_dual(a).matrix * a.matrix, a.ambient)
 
 
 def test_isometry_orbit_invariant():

@@ -735,7 +735,10 @@ def test_reader_agrees_with_argparse_on_examples():
                  ["k0", "classify", "-x", "--help"], ["k0", "classify", "-hn"],
                  ["k0", "classify", "-hn5"], ["markov", "check", "3", "3", "-5\n", "--help"],
                  ["verify", "--help=x"], ["verify", "-h="], ["-x", "k0", "gram", "-n", "3"],
-                 ["k0", "gram", "-n", "3", "--", "4"], ["mutate", "--word", "-x y"]):
+                 ["k0", "gram", "-n", "3", "--", "4"], ["mutate", "--word", "-x y"],
+                 # both exit with an error: only the top level reads --=x as an
+                 # ambiguous prefix (--output, --help), so each level marks every token
+                 ["markov", "-h", "--=x"], ["k0", "-h", "--=x"]):
         _check_agreement(argv)
 
 

@@ -512,8 +512,8 @@ def test_triangular_non_unimodular_keeps_the_elimination_message():
 
 def test_triangular_det_matches_bareiss(monkeypatch):
     # prod a_ii of an upper, lower or diagonal matrix, zeros on the diagonal
-    # included, against the row echelon form of `_rref` that the triangular
-    # test otherwise skips
+    # included, against the `_rref` elimination that the triangular test
+    # otherwise skips
     rng = random.Random(67)
     keep = {"upper": lambda i, j: i <= j, "lower": lambda i, j: i >= j,
             "diagonal": lambda i, j: i == j}

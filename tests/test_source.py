@@ -34,9 +34,6 @@ AWAITING = {
         "item 3: reads the rational Grams `congruent` takes",
     (_CLS, "type1_isometry_from_odd"): "item 6: the isometry series of a type-1 form",
     (_CLS, "is_type1_isometry"): "item 6: the isometry law f(-z) f(z) = 1",
-    (_CLS, "isometry_orbit_invariant"): "item 6: the invariant `k0 invariants` prints",
-    ("src/semiortho/bilinear_form.py", "is_reflexive"):
-        "item 6: `isometry_orbit_invariant` takes only operators of the canonical algebra",
     (_CLS, "odd_coefficient_count"): "item 6: the free parameters of `type1_isometry_from_odd`",
     (_K0, "integrality_test"): "item 6: the lattice Z[nabla]/nabla^(n+1) of `k0 isometries`",
     (_K0, "eta_pn"): "item 6: the nilpotent part of kappa on K0(P^n)",
